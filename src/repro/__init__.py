@@ -38,6 +38,7 @@ from .errors import (
     DomainSizeError,
     EncodingError,
     FaultPlanError,
+    FormulaTooDeepError,
     NotFO2Error,
     NotGammaAcyclicError,
     ParseError,
@@ -92,6 +93,7 @@ __version__ = "0.2.0"
 __all__ = [
     "ReproError",
     "ParseError",
+    "FormulaTooDeepError",
     "UnsupportedFormulaError",
     "NotFO2Error",
     "NotGammaAcyclicError",

@@ -7,7 +7,8 @@ indicate which solver or transformation rejected the input.
 The taxonomy splits into three families, and the CLI maps each family
 to a distinct exit code (see :mod:`repro.cli`):
 
-*Input errors* — the request itself is malformed: :class:`ParseError`,
+*Input errors* — the request itself is malformed: :class:`ParseError`
+(and :class:`FormulaTooDeepError`),
 :class:`UnsupportedFormulaError` (and its fragment-specific
 subclasses), :class:`DomainSizeError`, :class:`WeightError`,
 :class:`EncodingError`, :class:`FaultPlanError`.  Retrying the same
@@ -48,6 +49,14 @@ class ParseError(ReproError):
             message = "{} (at position {})".format(message, position)
         super().__init__(message)
         self.position = position
+
+
+class FormulaTooDeepError(ParseError):
+    """Raised when a formula string nests deeper than the parser allows.
+
+    The limit is :data:`repro.logic.parser.MAX_NESTING`; it keeps deep
+    input a typed input error instead of a ``RecursionError``.
+    """
 
 
 class UnsupportedFormulaError(ReproError):

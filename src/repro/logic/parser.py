@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from ..errors import ParseError
+from ..errors import FormulaTooDeepError, ParseError
 from .syntax import (
     Const,
     Eq,
@@ -55,6 +55,12 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"forall", "exists", "true", "false"}
 
+#: The deepest nesting :func:`parse` accepts, counting parentheses,
+#: negations, quantifier bodies and the right operands of ``->``.  Each
+#: level costs the parser eight Python frames and the passes after it a
+#: few more, so deeper input would end in a bare ``RecursionError``.
+MAX_NESTING = 64
+
 
 def _tokenize(text):
     tokens = []
@@ -78,6 +84,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -92,6 +99,17 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError("expected {}, got {!r}".format(kind, tok[1]), tok[2])
         return tok
+
+    def nested(self, parse_inner):
+        """Run ``parse_inner`` one nesting level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaTooDeepError(
+                "formula nests deeper than {} levels".format(MAX_NESTING),
+                self.peek()[2])
+        inner = parse_inner()
+        self.depth -= 1
+        return inner
 
     # formula := iff
     def parse_formula(self):
@@ -109,7 +127,7 @@ class _Parser:
         left = self.parse_or()
         if self.peek()[0] == "implies":
             self.advance()
-            right = self.parse_implies()
+            right = self.nested(self.parse_implies)
             return Implies(left, right)
         return left
 
@@ -131,7 +149,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "not":
             self.advance()
-            return neg(self.parse_unary())
+            return neg(self.nested(self.parse_unary))
         if kind == "name" and value in ("forall", "exists"):
             return self.parse_quantified()
         return self.parse_atom()
@@ -144,7 +162,7 @@ class _Parser:
             self.advance()
             vars_.append(self.parse_variable())
         self.expect("dot")
-        body = self.parse_unary_or_quantified_body()
+        body = self.nested(self.parse_unary_or_quantified_body)
         return quantifier(vars_, body)
 
     def parse_unary_or_quantified_body(self):
@@ -170,7 +188,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "lparen":
             self.advance()
-            inner = self.parse_formula()
+            inner = self.nested(self.parse_formula)
             self.expect("rparen")
             return self.maybe_equality_suffix_formula(inner)
         if kind == "name" and value == "true":

@@ -22,6 +22,24 @@ Pipeline, following Van den Broeck et al. as reviewed in Appendix C:
    weight of the binary "2-tables" between a cell-``k`` and a cell-``l``
    element that satisfy ``psi`` in both directions.
 
+The recursion counts in Python ints, never in Fractions.
+Symmetric weights are homogeneous: every ground atom of a predicate ``P``
+contributes exactly one of ``w_P`` and ``wbar_P`` to a world's weight.
+With ``d_P`` the common denominator of that pair, the integer pair
+``(d_P w_P, d_P wbar_P)`` scales every world by the same factor, so
+
+``WFOMC(psi, n, w, wbar) = WFOMC(psi, n, d w, d wbar)
+/ (prod_{unary P} d_P**n * prod_{binary P} d_P**(n*n))``
+
+(a binary predicate has ``n`` reflexive atoms in the cells and
+``n*(n-1)`` in the 2-tables).  So ``u_k`` and ``r_kl`` are ints, the sum
+above is an int, and one ``Fraction`` is built per zero-ary assignment
+at the end.  The sum is taken cell by cell, ``n_k`` running upward with
+``u_k**n_k``, ``r_kk**C(n_k, 2)`` and ``r_kl**n_k`` each advanced by one
+multiplication per step, on an explicit stack, so sentences with many
+cells do not exhaust the Python stack.  Zero-ary and unconstrained
+predicates are weighted outside the recursion.
+
 Equality atoms are supported natively: ``x = y`` is false for the two
 distinct elements of a 2-table and true on the diagonal.
 
@@ -34,6 +52,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from ..errors import NotFO2Error
 from ..logic.scott import scott_normalize, skolemize_scott
@@ -77,8 +97,6 @@ _DECOMPOSITION_CACHE = LRUCache(maxsize=128)
 #: Bound on memoized recursion entries per decomposition instance; the
 #: table is cleared wholesale when it fills.
 _MAX_RECURSE_MEMO = 1 << 16
-
-_MISSING = object()
 
 
 def fo2_cache_stats():
@@ -309,41 +327,58 @@ class FO2CellDecomposition:
     def type_slots(self):
         return self.structure.type_slots
 
-    def _type_weight(self, cell_bits):
-        weight = Fraction(1)
-        for (name, _kind), bit in zip(self.structure.type_slots, cell_bits):
+    def _scaled_weights(self, names):
+        """Integer weights for one atom of each predicate in ``names``.
+
+        Each pair ``(w, wbar)`` is multiplied by its common denominator
+        ``d_P``.  Returns ``(scale, pairs)``: ``pairs[i]`` is the int pair
+        ``(w * d_P, wbar * d_P)`` of ``names[i]`` and ``scale`` is the
+        product of the ``d_P``, so a weight that picks one of ``w, wbar``
+        per name is ``scale`` times its Fraction value.
+        """
+        scale = 1
+        pairs = []
+        for name in names:
             pair = self.wv.weight(name)
-            weight *= pair.w if bit else pair.wbar
-        return weight
+            d = lcm(pair.w.denominator, pair.wbar.denominator)
+            scale *= d
+            pairs.append((pair.w.numerator * (d // pair.w.denominator),
+                          pair.wbar.numerator * (d // pair.wbar.denominator)))
+        return scale, pairs
+
+    def _type_weight(self, cell_bits):
+        """The (Fraction) weight ``u_k`` of one 1-type."""
+        scale, pairs = self._scaled_weights(
+            name for name, _kind in self.structure.type_slots)
+        return Fraction(_bits_weight(pairs, cell_bits), scale)
 
     def _cell_tables(self, zero_key, zero_assignment, budget=None):
-        """Cells, cell weights, and 2-table pair weights for one assignment
-        of the zero-ary atoms.  The expensive enumeration lives in the
-        shared structure; this layer only sums weights over the stored
+        """Cells and the scaled int weights for one assignment of the
+        zero-ary atoms: ``(cells, u, r, cell_scale, pair_scale)``.
+
+        ``u[k]`` is ``cell_scale`` times the weight of cell ``k`` and
+        ``r[k][l]`` is ``pair_scale`` times the summed weight of the
+        satisfying 2-tables between a cell-``k`` and a cell-``l``
+        element.  The expensive enumeration lives in the shared
+        structure; this layer only sums weights over the stored
         satisfying patterns, so it is polynomial in their number."""
         cached = self._tables.get(zero_key)
         if cached is not None:
             return cached
-        cells, satisfying = self.structure.tables(zero_key, zero_assignment,
-                                                  budget=budget)
+        structure = self.structure
+        cells, satisfying = structure.tables(zero_key, zero_assignment,
+                                             budget=budget)
 
-        cell_weights = [self._type_weight(bits) for bits in cells]
+        cell_scale, cell_pairs = self._scaled_weights(
+            name for name, _kind in structure.type_slots)
+        cell_weights = [_bits_weight(cell_pairs, bits) for bits in cells]
 
-        k_cells = len(cells)
-        off_diag_labels = self.structure.off_diag_labels
-        pair_weights = [self.wv.weight(name) for name, _args in off_diag_labels]
-        r = [[Fraction(0)] * k_cells for _ in range(k_cells)]
-        for k in range(k_cells):
-            for l in range(k_cells):
-                total = Fraction(0)
-                for bits in satisfying[k][l]:
-                    weight = Fraction(1)
-                    for pair, bit in zip(pair_weights, bits):
-                        weight *= pair.w if bit else pair.wbar
-                    total += weight
-                r[k][l] = total
+        pair_scale, label_pairs = self._scaled_weights(
+            name for name, _args in structure.off_diag_labels)
+        r = [[sum(_bits_weight(label_pairs, bits) for bits in row_kl)
+              for row_kl in row_k] for row_k in satisfying]
 
-        tables = (cells, cell_weights, r)
+        tables = (cells, cell_weights, r, cell_scale, pair_scale)
         self._tables[zero_key] = tables
         return tables
 
@@ -351,64 +386,109 @@ class FO2CellDecomposition:
         """The weighted count for one assignment of the zero-ary atoms."""
         check_domain_size(n)
         zero_key = tuple(sorted(zero_assignment.items()))
-        cells, cell_weights, r = self._cell_tables(zero_key, zero_assignment,
-                                                   budget=budget)
-
-        k_cells = len(cells)
-        if k_cells == 0:
+        cells, cell_weights, r, cell_scale, pair_scale = self._cell_tables(
+            zero_key, zero_assignment, budget=budget)
+        if not cells:
             return Fraction(0) if n > 0 else Fraction(1)
+        total = self._distribute(zero_key, n, cell_weights, r, budget)
+        # Every element owns one cell atom per type slot and every
+        # unordered pair one atom per 2-table label.
+        return Fraction(total, cell_scale ** n * pair_scale ** binomial(n, 2))
 
-        # Sum over all ways to distribute n elements among the cells.
-        # ``suffix(k, remaining, pending)`` is the summed weight of
-        # distributing ``remaining`` elements among cells ``k..K-1``, where
-        # ``pending[l - k]`` carries the cross-cell factor
-        # ``prod_{j<k} r[j][l]**n_j`` accumulated from earlier cells.  It
-        # depends only on its arguments, so it is memoized — distinct
-        # prefixes routinely converge on the same ``pending`` (whenever the
-        # ``r`` values collapse to 0/1, as in unweighted counting), and the
-        # memo also persists across calls and domain sizes.
+    def _distribute(self, zero_key, n, cell_weights, r, budget):
+        """The int sum over all ways to distribute ``n`` elements among
+        the cells.
+
+        ``suffix(k, remaining, pending)`` is the summed weight of
+        distributing ``remaining`` elements among cells ``k..K-1``, where
+        ``pending[l - k]`` carries the cross-cell factor
+        ``prod_{j<k} r[j][l]**n_j`` accumulated from earlier cells.  It
+        depends only on its arguments, so it is memoized — distinct
+        prefixes routinely converge on the same ``pending`` (whenever the
+        ``r`` values collapse to 0/1, as in unweighted counting), and the
+        memo also persists across calls and domain sizes.
+
+        Each unfinished ``suffix`` is a generator on an explicit stack
+        that yields the arguments of the child it needs and is sent the
+        child's value, so the Python stack stays flat however many cells
+        there are.
+        """
         memo = self._recurse_memo
-        last = k_cells - 1
+        last = len(cell_weights) - 1
 
         def suffix(k, remaining, pending):
+            # The cell-k factors of n_k = nk, kept as running powers:
+            # coeff = C(remaining, nk), power = (u_k * pending[0])**nk,
+            # tri = r_kk**C(nk, 2), step = r_kk**nk, and
+            # cross[l] = pending[l] * r_kl**nk for the later cells l.
+            rk = r[k]
+            r_kk = rk[k]
+            base = cell_weights[k] * pending[0]
+            cross_r = rk[k + 1:]
+            cross = pending[1:]
+            coeff = power = tri = step = 1
+            value = 0
+            for nk in range(remaining + 1):
+                if nk:
+                    coeff = coeff * (remaining - nk + 1) // nk
+                    power *= base
+                    tri *= step
+                    step *= r_kk
+                    cross = tuple(map(mul, cross, cross_r))
+                term = coeff * power * tri
+                if not term:
+                    # power and tri stay zero for every larger nk.
+                    break
+                value += term * (yield k + 1, remaining - nk, cross)
+            return value
+
+        def visit(k, remaining, pending):
+            """``(key, value)`` of a suffix; ``value`` is None when it
+            still has to be computed."""
             if budget is not None:
                 budget.tick()
+            if not remaining:
+                return None, 1
             key = (zero_key, k, remaining, pending)
-            value = memo.get(key, _MISSING)
-            if value is not _MISSING:
-                return value
-            rk = r[k]
-            if k == last:
-                value = (
-                    cell_weights[k] ** remaining
-                    * rk[k] ** binomial(remaining, 2)
-                    * pending[0] ** remaining
-                )
-            else:
-                value = Fraction(0)
-                for nk in range(remaining + 1):
-                    term = (
-                        binomial(remaining, nk)
-                        * cell_weights[k] ** nk
-                        * rk[k] ** binomial(nk, 2)
-                        * pending[0] ** nk
-                    )
-                    if term == 0:
-                        continue
-                    if nk:
-                        new_pending = tuple(
-                            pending[l - k] * rk[l] ** nk
-                            for l in range(k + 1, k_cells)
-                        )
-                    else:
-                        new_pending = pending[1:]
-                    value += term * suffix(k + 1, remaining - nk, new_pending)
+            value = memo.get(key)
+            if value is None and k == last:
+                value = ((cell_weights[k] * pending[0]) ** remaining
+                         * r[k][k] ** binomial(remaining, 2))
+                store(key, value)
+            return key, value
+
+        def store(key, value):
             if len(memo) >= _MAX_RECURSE_MEMO:
                 memo.clear()
             memo[key] = value
-            return value
 
-        return suffix(0, n, (Fraction(1),) * k_cells)
+        root = (0, n, (1,) * (last + 1))
+        key, value = visit(*root)
+        if value is not None:
+            return value
+        stack = [(key, suffix(*root))]
+        while True:
+            key, frame = stack[-1]
+            try:
+                child = frame.send(value)
+            except StopIteration as done:
+                value = done.value
+                store(key, value)
+                stack.pop()
+                if not stack:
+                    return value
+                continue
+            child_key, value = visit(*child)
+            if value is None:
+                stack.append((child_key, suffix(*child)))
+
+
+def _bits_weight(pairs, bits):
+    """The product picking ``w`` or ``wbar`` of each pair per bit."""
+    weight = 1
+    for (w, wbar), bit in zip(pairs, bits):
+        weight *= w if bit else wbar
+    return weight
 
 
 def wfomc_fo2(formula, n, weighted_vocabulary=None, persist=None,

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import ParseError
-from repro.logic.parser import parse
+from repro.complexity.encoding import encode_theta1
+from repro.errors import FormulaTooDeepError, ParseError
+from repro.logic.parser import MAX_NESTING, parse
 from repro.logic.syntax import (
     And,
     Atom,
@@ -19,6 +20,8 @@ from repro.logic.syntax import (
     FALSE,
     Var,
 )
+
+from tests.test_theta1 import _branching_machine
 
 x, y = Var("x"), Var("y")
 
@@ -144,3 +147,34 @@ class TestRoundTrip:
     def test_parse_repr_parse(self, text):
         f = parse(text)
         assert parse(repr(f)) == f
+
+
+class TestNesting:
+    """Deep input is a typed :class:`FormulaTooDeepError`, never a bare
+    ``RecursionError``."""
+
+    def test_deep_parentheses_are_a_parse_error(self):
+        text = "forall x. " + "(" * 200 + "P(x)" + ")" * 200
+        with pytest.raises(FormulaTooDeepError) as info:
+            parse(text)
+        assert isinstance(info.value, ParseError)
+        assert info.value.position is not None
+
+    @pytest.mark.parametrize("make", [
+        lambda d: "(" * d + "P(x)" + ")" * d,
+        lambda d: "~" * d + "P(x)",
+        lambda d: "forall x. " * d + "P(x)",
+        lambda d: " -> ".join(["P"] * (d + 1)),
+    ], ids=["parens", "negation", "quantifiers", "implies"])
+    def test_limit_is_exact_for_every_nesting_form(self, make):
+        parse(make(MAX_NESTING))
+        with pytest.raises(FormulaTooDeepError):
+            parse(make(MAX_NESTING + 1))
+
+    def test_parentheses_at_the_limit_change_nothing(self):
+        deep = "(" * MAX_NESTING + "P(x) & Q(x)" + ")" * MAX_NESTING
+        assert parse(deep) == parse("P(x) & Q(x)")
+
+    def test_theta1_parses_far_below_the_limit(self):
+        sentence = encode_theta1(_branching_machine(), epochs=2).sentence
+        assert parse(repr(sentence)) == sentence

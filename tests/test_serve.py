@@ -223,6 +223,23 @@ class TestProtocol:
             assert status == 400, payload
             assert body["ok"] is False and body["error"]["retriable"] is False
 
+    def test_deeply_nested_formula_is_typed_400(self, serve):
+        h = serve()
+        deep = "forall x. " + "(" * 200 + "P(x)" + ")" * 200
+        for path, payload in (
+                ("/v1/wfomc", {"formula": deep, "n": 3}),
+                ("/v1/probability", {"formula": deep, "n": 3}),
+        ):
+            status, body, _ = h.request("POST", path, payload)
+            assert status == 400, path
+            assert body["error"]["type"] == "FormulaTooDeepError"
+            assert body["error"]["retriable"] is False
+        # The daemon keeps serving after the rejected requests.
+        status, body, _ = h.request("POST", "/v1/wfomc",
+                                    {"formula": EXISTS, "n": 3})
+        assert status == 200
+        assert body["result"] == str(wfomc(parse(EXISTS), 3))
+
     def test_keep_alive_serves_multiple_requests(self, serve):
         h = serve()
         conn = http.client.HTTPConnection(*h.server.address, timeout=30)
