@@ -59,9 +59,10 @@ def measure_backends(sweep_size=32, n=3, repeats=3):
     except ImportError:  # collected as the benchmarks package
         from benchmarks.bench_compile import _theta1_sweep_instance
     from repro.compile import compile_wfomc
+    from repro.options import SolverOptions
 
     sentence, vocabularies = _theta1_sweep_instance(sweep_size)
-    compiled = compile_wfomc(sentence, n, method="lineage")
+    compiled = compile_wfomc(sentence, n, options=SolverOptions(method="lineage"))
 
     def serve(backend):
         return compiled.evaluate_many(vocabularies, backend=backend)
@@ -115,9 +116,10 @@ def _small_instance():
 
 def test_backend_smoke_batched_bit_identical(benchmark):
     from repro.compile import compile_wfomc
+    from repro.options import SolverOptions
 
     f, vocabularies = _small_instance()
-    compiled = compile_wfomc(f, 2, method="lineage")
+    compiled = compile_wfomc(f, 2, options=SolverOptions(method="lineage"))
     reference = compiled.evaluate_many(vocabularies)
 
     results = benchmark(
@@ -127,9 +129,10 @@ def test_backend_smoke_batched_bit_identical(benchmark):
 
 def test_backend_smoke_codegen_bit_identical(benchmark):
     from repro.compile import compile_wfomc
+    from repro.options import SolverOptions
 
     f, vocabularies = _small_instance()
-    compiled = compile_wfomc(f, 2, method="lineage")
+    compiled = compile_wfomc(f, 2, options=SolverOptions(method="lineage"))
     reference = compiled.evaluate_many(vocabularies)
 
     results = benchmark(
@@ -139,9 +142,10 @@ def test_backend_smoke_codegen_bit_identical(benchmark):
 
 def test_backend_smoke_float_bounded(benchmark):
     from repro.compile import compile_wfomc
+    from repro.options import SolverOptions
 
     f, vocabularies = _small_instance()
-    compiled = compile_wfomc(f, 2, method="lineage")
+    compiled = compile_wfomc(f, 2, options=SolverOptions(method="lineage"))
     reference = compiled.evaluate_many(vocabularies)
 
     results = benchmark(

@@ -74,20 +74,23 @@ def measure_compile_vs_direct(sweep_size=32, n=3):
     search, and ``k`` linear circuit evaluations.  Returns both times,
     the speedup, and whether the result lists were bit-identical.
     """
+    from repro.options import SolverOptions
     from repro.wfomc.solver import wfomc_weight_sweep
 
     sentence, vocabularies = _theta1_sweep_instance(sweep_size)
 
     _cold_caches()
     start = time.perf_counter()
-    direct = wfomc_weight_sweep(sentence, n, vocabularies, method="lineage",
+    direct = wfomc_weight_sweep(sentence, n, vocabularies,
+                                options=SolverOptions(method="lineage"),
                                 via_polynomial=False)
     direct_s = time.perf_counter() - start
 
     _cold_caches()
     start = time.perf_counter()
-    compiled = wfomc_weight_sweep(sentence, n, vocabularies,
-                                  method="lineage", compile=True)
+    compiled = wfomc_weight_sweep(
+        sentence, n, vocabularies,
+        options=SolverOptions(method="lineage", compile=True))
     compiled_s = time.perf_counter() - start
 
     identical = all(
@@ -111,6 +114,7 @@ def test_compile_smoke_sweep_bit_identical(benchmark):
     from repro.logic.parser import parse
     from repro.logic.vocabulary import WeightedVocabulary
     from repro.logic.syntax import predicates_of
+    from repro.options import SolverOptions
     from repro.wfomc.solver import wfomc_weight_sweep
 
     f = parse("forall x, y. (R(x) | S(x, y) | T(y))")
@@ -120,12 +124,14 @@ def test_compile_smoke_sweep_bit_identical(benchmark):
             {name: (Fraction(k, 3), 1) for name in arities}, arities)
         for k in range(1, 7)
     ]
-    direct = wfomc_weight_sweep(f, 2, vocabularies, method="lineage",
+    direct = wfomc_weight_sweep(f, 2, vocabularies,
+                                options=SolverOptions(method="lineage"),
                                 via_polynomial=False)
 
     def compiled_sweep():
-        return wfomc_weight_sweep(f, 2, vocabularies, method="lineage",
-                                  compile=True)
+        return wfomc_weight_sweep(
+            f, 2, vocabularies,
+            options=SolverOptions(method="lineage", compile=True))
 
     compiled = benchmark(compiled_sweep)
     assert compiled == direct
@@ -135,9 +141,10 @@ def test_compile_smoke_gradient(benchmark):
     from repro.compile import compile_wfomc
     from repro.logic.parser import parse
     from repro.logic.vocabulary import WeightedVocabulary
+    from repro.options import SolverOptions
 
     f = parse("forall x. exists y. R(x, y)")
-    compiled = compile_wfomc(f, 3, method="lineage")
+    compiled = compile_wfomc(f, 3, options=SolverOptions(method="lineage"))
     wv = WeightedVocabulary.from_weights({"R": (Fraction(1, 2), 2)},
                                          {"R": 2})
 

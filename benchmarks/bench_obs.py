@@ -68,11 +68,12 @@ def measure_obs_overhead(sweep_size=32, n=3, repeats=5):
         enable_tracing,
         span,
     )
+    from repro.options import SolverOptions
 
     _cold_caches, _theta1_sweep_instance = _workload_helpers()
     sentence, vocabularies = _theta1_sweep_instance(sweep_size)
     _cold_caches()
-    compiled = compile_wfomc(sentence, n, method="lineage")
+    compiled = compile_wfomc(sentence, n, options=SolverOptions(method="lineage"))
     baseline = compiled.evaluate_many(vocabularies, backend="batched")
 
     disable_tracing()
@@ -120,6 +121,7 @@ def test_obs_smoke_traced_sweep_bit_identical(benchmark):
     from repro.logic.syntax import predicates_of
     from repro.logic.vocabulary import WeightedVocabulary
     from repro.obs import disable_tracing, enable_tracing
+    from repro.options import SolverOptions
 
     f = parse("forall x, y. (R(x) | S(x, y) | T(y))")
     arities = predicates_of(f)
@@ -128,7 +130,7 @@ def test_obs_smoke_traced_sweep_bit_identical(benchmark):
             {name: (Fraction(k, 3), 1) for name in arities}, arities)
         for k in range(1, 7)
     ]
-    compiled = compile_wfomc(f, 2, method="lineage")
+    compiled = compile_wfomc(f, 2, options=SolverOptions(method="lineage"))
     plain = compiled.evaluate_many(vocabularies, backend="batched")
 
     recorder = enable_tracing()

@@ -53,6 +53,8 @@ def random_components(num_components, nvars, ratio, seed):
 
 
 def _count(clauses, total_vars, workers=None):
+    from repro.options import SolverOptions
+
     _CountingEngine, EngineStats, wmc_cnf, CNF = _engine_imports()
     cnf = CNF()
     for v in range(1, total_vars + 1):
@@ -60,7 +62,8 @@ def _count(clauses, total_vars, workers=None):
     for c in clauses:
         cnf.add_clause(c)
     return wmc_cnf(cnf, lambda _v: (1, 1), engine_cache={},
-                   stats=EngineStats(), workers=workers)
+                   stats=EngineStats(),
+                   options=SolverOptions(workers=workers))
 
 
 # -- pytest-benchmark tests (small instances; CI smoke keeps them alive) ----
@@ -83,6 +86,8 @@ def test_cdcl_and_moms_engines_agree(benchmark):
     # The CI smoke run keeps the heuristic ablation path alive: the
     # conflict-driven default and the learning-free MOMS engine must
     # produce bit-identical counts on a conflict-rich instance.
+    from repro.options import SolverOptions
+
     clauses, total_vars = random_components(1, 20, 3.5, seed=23)
     _CountingEngine, EngineStats, wmc_cnf, CNF = _engine_imports()
     cnf = CNF()
@@ -93,10 +98,10 @@ def test_cdcl_and_moms_engines_agree(benchmark):
 
     def cdcl():
         return wmc_cnf(cnf, lambda _v: (1, 1), engine_cache={},
-                       stats=EngineStats(), learn=True)
+                       stats=EngineStats(), options=SolverOptions(learn=True))
 
     moms = wmc_cnf(cnf, lambda _v: (1, 1), engine_cache={},
-                   stats=EngineStats(), learn=False)
+                   stats=EngineStats(), options=SolverOptions(learn=False))
     result = benchmark(cdcl)
     assert result == moms
 
@@ -108,6 +113,8 @@ def test_activity_gate_keeps_exact_moms_order_when_conflict_light(benchmark):
     # on the same trail machinery — because its per-search conflict rate
     # never crosses the activity threshold.  Before the gate, stale
     # activity from earlier searches could perturb the order here.
+    from repro.options import SolverOptions
+
     CountingEngine, EngineStats, wmc_cnf, CNF = _engine_imports()
     clauses, total_vars = random_components(4, 18, 2.0, seed=11)
     cnf = CNF()
@@ -119,7 +126,8 @@ def test_activity_gate_keeps_exact_moms_order_when_conflict_light(benchmark):
     def count(branching):
         stats = EngineStats()
         result = wmc_cnf(cnf, lambda _v: (1, 1), engine_cache={},
-                         stats=stats, branching=branching)
+                         stats=stats,
+                         options=SolverOptions(branching=branching))
         return result, stats
 
     (moms_result, moms_stats) = count("moms")
@@ -132,13 +140,15 @@ def test_activity_gate_keeps_exact_moms_order_when_conflict_light(benchmark):
 
 def test_fo2_batch_reuses_decomposition(benchmark):
     from repro.logic.parser import parse
+    from repro.options import SolverOptions
     from repro.wfomc.solver import clear_solver_caches, wfomc_batch
 
     f = parse("forall x. exists y. (R(x, y) | (P(x) & Q(y)))")
 
     def run():
         clear_solver_caches()
-        return wfomc_batch(f, range(1, 9), method="fo2")
+        return wfomc_batch(f, range(1, 9),
+                           options=SolverOptions(method="fo2"))
 
     results = benchmark(run)
     assert results[1] == 5 and results[3] == 26369  # matches the lineage path
@@ -239,12 +249,13 @@ def _theta1_sentence():
     return encode_theta1(tm, epochs=1).sentence
 
 
-def _measure_theta1_cold(repeats=3, **engine_knobs):
+def _measure_theta1_cold(repeats=3, options=None):
     """Cold-cache wall clock of the grounded Theta_1 identity at n = 3.
 
     Every run starts from fresh engine/grounding/solver caches (the
-    minimum of ``repeats`` runs resists scheduler noise); engine knobs
-    (``learn``, ``branching``) select the heuristic under test.
+    minimum of ``repeats`` runs resists scheduler noise); ``options``
+    (a ``SolverOptions``, e.g. ``learn``/``branching``) selects the
+    heuristic under test.
     """
     import time
 
@@ -260,7 +271,7 @@ def _measure_theta1_cold(repeats=3, **engine_knobs):
         clear_grounding_caches()
         clear_solver_caches()
         start = time.perf_counter()
-        result = fomc_lineage(sentence, 3, **engine_knobs)
+        result = fomc_lineage(sentence, 3, options=options)
         elapsed = time.perf_counter() - start
         assert result == 24  # 3! * #acc(3)
         if best is None or elapsed < best:
@@ -276,9 +287,12 @@ def _measure_theta1_ablation():
     engine generations); ``theta1_identity_n3_moms`` is the learning-free
     MOMS engine the CDCL rebuild replaced.
     """
+    from repro.options import SolverOptions
+
     return {
         "test_theta1_identity_n3": _measure_theta1_cold(),
-        "theta1_identity_n3_moms": _measure_theta1_cold(learn=False),
+        "theta1_identity_n3_moms": _measure_theta1_cold(
+            options=SolverOptions(learn=False)),
     }
 
 

@@ -41,6 +41,7 @@ from repro.complexity.encoding import encode_theta1
 from repro.complexity.turing import RIGHT, CountingTM, Transition
 from repro.logic.syntax import predicates_of
 from repro.logic.vocabulary import WeightedVocabulary
+from repro.options import SolverOptions
 from repro.wfomc.solver import wfomc_weight_sweep
 
 cache_dir, workers, sweep_size = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
@@ -70,13 +71,14 @@ if workers:
     # Pre-warm the pool so its startup is not billed to the sweep.
     from repro.wfomc.solver import wfomc
     from repro.logic.parser import parse
-    wfomc(parse("forall x, y. (R(x) | S(x, y))"), 2, method="lineage",
-          workers=workers)
+    wfomc(parse("forall x, y. (R(x) | S(x, y))"), 2,
+          options=SolverOptions(method="lineage", workers=workers))
 
 start = time.perf_counter()
-results = wfomc_weight_sweep(sentence, 3, vocabularies, method="lineage",
-                             persist=True, cache_dir=cache_dir,
-                             workers=workers)
+results = wfomc_weight_sweep(
+    sentence, 3, vocabularies,
+    options=SolverOptions(method="lineage", persist=True,
+                          cache_dir=cache_dir, workers=workers))
 elapsed = time.perf_counter() - start
 
 from repro.cache import open_store
@@ -133,21 +135,22 @@ def measure_warm_vs_cold(workers=0, sweep_size=4, repeats=2):
 
 def test_persist_smoke_counts_are_bit_identical(benchmark, tmp_path):
     from repro.logic.parser import parse
+    from repro.options import SolverOptions
     from repro.propositional.counter import reset_engine
     from repro.wfomc.solver import clear_solver_caches, wfomc
 
     from repro.grounding.lineage import clear_grounding_caches
 
     f = parse("forall x, y. (R(x) | S(x, y) | T(y))")
-    plain = wfomc(f, 2, method="lineage")
+    plain = wfomc(f, 2, options=SolverOptions(method="lineage"))
     cache_dir = str(tmp_path / "smoke-store")
 
     def persisted():
         reset_engine()
         clear_grounding_caches()
         clear_solver_caches()
-        return wfomc(f, 2, method="lineage", persist=True,
-                     cache_dir=cache_dir)
+        return wfomc(f, 2, options=SolverOptions(
+            method="lineage", persist=True, cache_dir=cache_dir))
 
     cold = persisted()  # fills the store
     warm = benchmark(persisted)  # every further run reads it back

@@ -9,6 +9,7 @@ quantifies both against a cold-cache loop.
 
 from repro.grounding.lineage import clear_grounding_caches
 from repro.logic.parser import parse
+from repro.options import SolverOptions
 from repro.propositional.counter import reset_engine
 from repro.wfomc.solver import clear_solver_caches, wfomc, wfomc_batch
 
@@ -27,11 +28,12 @@ def _clear_all():
 
 def _cold_loop():
     _clear_all()
-    return {n: wfomc(SENTENCE, n, method="lineage") for n in SIZES}
+    return {n: wfomc(SENTENCE, n, options=SolverOptions(method="lineage"))
+            for n in SIZES}
 
 
 def _warm_batch():
-    return wfomc_batch(SENTENCE, SIZES, method="lineage")
+    return wfomc_batch(SENTENCE, SIZES, options=SolverOptions(method="lineage"))
 
 
 def test_cold_repeated_calls(benchmark):

@@ -328,12 +328,13 @@ def check_budget_overhead(max_overhead):
     from bench_parallel import _measure_theta1_cold
 
     def measure():
+        from repro.options import SolverOptions
         from repro.resilience.limits import Budget
 
         plain = _measure_theta1_cold()
-        budgeted = _measure_theta1_cold(
+        budgeted = _measure_theta1_cold(options=SolverOptions(
             budget=Budget(timeout=3600.0, max_conflicts=10 ** 9,
-                          max_decisions=10 ** 9))
+                          max_decisions=10 ** 9)))
         return plain, budgeted
 
     plain, budgeted = measure()

@@ -16,13 +16,14 @@ Run:  python examples/zero_one_laws.py
 
 from repro import parse
 from repro.asymptotics import mu_n
+from repro.options import SolverOptions
 
 
 def show(title, formula, sizes, method="auto"):
     print(title)
     print("  Phi =", formula)
     for n in sizes:
-        value = mu_n(formula, n, method=method)
+        value = mu_n(formula, n, options=SolverOptions(method=method))
         print("  mu_{:>2} = {:<22} ~ {:.6f}".format(n, str(value)[:22], float(value)))
     print()
 

@@ -88,7 +88,7 @@ from .mln import (
 )
 from .lifted import RulesIncompleteError, lifted_wfomc
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ReproError",

@@ -24,18 +24,22 @@ from ..wfomc.solver import wfomc
 __all__ = ["mu_n", "mu_sequence", "extension_axiom", "simplified_extension_axiom"]
 
 
-def mu_n(formula, n, method="auto"):
-    """``mu_n(Phi) = FOMC(Phi, n) / 2**|Tup(n)|`` as an exact Fraction."""
+def mu_n(formula, n, options=None):
+    """``mu_n(Phi) = FOMC(Phi, n) / 2**|Tup(n)|`` as an exact Fraction.
+
+    ``options`` is a :class:`~repro.options.SolverOptions` passed on to
+    :func:`~repro.wfomc.solver.wfomc`.
+    """
     check_domain_size(n)
     wv = WeightedVocabulary.counting(formula)
-    count = wfomc(formula, n, wv, method=method)
+    count = wfomc(formula, n, wv, options=options)
     total = 2 ** wv.vocabulary.num_ground_tuples(n)
     return Fraction(count, total)
 
 
-def mu_sequence(formula, sizes, method="auto"):
+def mu_sequence(formula, sizes, options=None):
     """``[mu_n(Phi) for n in sizes]`` — watch the 0-1 law converge."""
-    return [mu_n(formula, n, method=method) for n in sizes]
+    return [mu_n(formula, n, options=options) for n in sizes]
 
 
 def simplified_extension_axiom():

@@ -7,10 +7,10 @@ polynomials, FO2 cell structures) die with the process; this package
 gives them a content-addressed, versioned, concurrency-safe on-disk
 home so a second process warm-starts instead of recomputing.
 
-Opt in per call with ``persist=True`` (and optionally ``cache_dir=``)
-on :func:`repro.wfomc.solver.wfomc` and friends, or on the CLI with
-``--persist`` / ``--cache-dir``; inspect with ``repro cache
-stats|clear|path``.  The store lives under ``$REPRO_CACHE_DIR`` or
+Opt in per call with ``options=SolverOptions(persist=True)`` (and
+optionally ``cache_dir``) on :func:`repro.wfomc.solver.wfomc` and
+friends, or on the CLI with ``--persist`` / ``--cache-dir``; inspect
+with ``repro cache stats|clear|path``.  The store lives under ``$REPRO_CACHE_DIR`` or
 ``~/.cache/repro`` and is shared by parallel counting workers.  All
 persisted values are exact (ints/Fractions), so persisted and
 recomputed results are bit-identical; a missing, corrupted, or

@@ -866,10 +866,8 @@ def _run_command(args):
         from .compile import compile_wfomc
 
         wv = _weighted_vocabulary(formula, args.weight)
-        compiled = compile_wfomc(
-            formula, args.n, wv.vocabulary, method=args.method,
-            persist=True if args.persist else None,
-            cache_dir=args.cache_dir)
+        compiled = compile_wfomc(formula, args.n, wv.vocabulary,
+                                 options=options)
         stats = compiled.stats()
         print("kind    {}".format(stats.pop("kind")))
         for name in ("nodes", "edges", "depth", "vars", "leaf", "tot",

@@ -19,7 +19,7 @@ Entry points
   instance, dispatching to the FO2 cell decomposition or the lineage
   trace like the solver does; returns a :class:`CompiledWFOMC` whose
   ``evaluate``/``gradient`` take any weighted vocabulary;
-* the solver fast paths — ``compile=True`` on
+* the solver fast paths — ``SolverOptions(compile=True)`` on
   :func:`repro.wfomc.solver.wfomc_weight_sweep` /
   :func:`~repro.wfomc.solver.wfomc_batch` /
   :func:`~repro.wfomc.solver.probability`, and ``repro compile`` /
@@ -29,7 +29,7 @@ Entry points
   workload the gradients exist for.
 
 All evaluation is exact (ints/Fractions), so compiled results are
-bit-identical to direct counting; with ``persist=True`` serialized
+bit-identical to direct counting; with ``persist`` on, serialized
 circuits live in the ``circuits`` namespace of the on-disk store
 (:mod:`repro.cache`) keyed on the weight-independent instance identity.
 """

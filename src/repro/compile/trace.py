@@ -18,11 +18,12 @@ Leaf handling mirrors the counting wrappers exactly:
 * labeled variables that occur in no clause contribute their full
   ``w + wbar`` mass as total leaves.
 
-``persist=True`` stores serialized circuits in the ``circuits``
-namespace of the on-disk cache (:mod:`repro.cache`), content-addressed
-on the weight-independent canonical key of the input (clauses plus
-labels, or ``(formula, n)`` for lineages) and the store's engine tag, so
-a second process re-serving a sweep skips compilation entirely.
+``SolverOptions(persist=True)`` stores serialized circuits in the
+``circuits`` namespace of the on-disk cache (:mod:`repro.cache`),
+content-addressed on the weight-independent canonical key of the input
+(clauses plus labels, or ``(formula, n)`` for lineages) and the store's
+engine tag, so a second process re-serving a sweep skips compilation
+entirely.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from ..grounding.structures import ground_tuples
 from ..logic.syntax import predicates_of
 from ..logic.vocabulary import Predicate, Vocabulary
 from ..cache.adapters import CIRCUITS_NS
+from ..options import SolverOptions
 from ..propositional.counter import cnf_for_formula, trace_cnf_clauses
 from ..utils import vocabulary_signature
 from .circuit import Circuit, CircuitBuilder
@@ -39,12 +41,13 @@ from .circuit import Circuit, CircuitBuilder
 __all__ = ["CIRCUITS_NS", "compile_cnf", "compile_formula", "compile_lineage"]
 
 
-def _store_for(persist, cache_dir):
-    if not persist:
+def _store_for(opts):
+    """The usable on-disk store ``opts`` asks for, or ``None``."""
+    if not opts.persist:
         return None
     from ..cache import open_store
 
-    store = open_store(cache_dir)
+    store = open_store(opts.cache_dir)
     return None if store.disabled else store
 
 
@@ -62,17 +65,19 @@ def _save_circuit(store, store_key, circuit):
         store.put(CIRCUITS_NS, store_key, circuit.to_payload())
 
 
-def compile_cnf(cnf, persist=None, cache_dir=None, store_key=None,
-                budget=None):
+def compile_cnf(cnf, options=None, store_key=None):
     """Compile a :class:`~repro.propositional.cnf.CNF` into a circuit.
 
     The circuit's leaves are the CNF's variable *labels*;
     ``Circuit.evaluate({label: (w, wbar), ...})`` is bit-identical to
     :func:`~repro.propositional.counter.wmc_cnf` with the same weights.
-    ``store_key`` overrides the persistence key (callers with a cheaper
-    canonical identity, like :func:`compile_lineage`, pass their own).
+    Of the :class:`~repro.options.SolverOptions` knobs, compilation
+    reads ``persist``/``cache_dir`` and ``budget``.  ``store_key``
+    overrides the persistence key (callers with a cheaper canonical
+    identity, like :func:`compile_lineage`, pass their own).
     """
-    store = _store_for(persist, cache_dir)
+    opts = SolverOptions.resolve(options)
+    store = _store_for(opts)
     if store is not None and store_key is None:
         store_key = ("cnf", tuple(cnf.clauses),
                      tuple(sorted(cnf.labels.items(),
@@ -87,7 +92,7 @@ def compile_cnf(cnf, persist=None, cache_dir=None, store_key=None,
         root = builder.const(0)
     else:
         clauses = tuple(cnf.clauses)
-        root = trace_cnf_clauses(clauses, builder, budget=budget)
+        root = trace_cnf_clauses(clauses, builder, budget=opts.budget)
         used = set()
         for c in clauses:
             for lit in c:
@@ -111,8 +116,7 @@ def compile_cnf(cnf, persist=None, cache_dir=None, store_key=None,
     return circuit
 
 
-def compile_formula(formula, universe=(), persist=None, cache_dir=None,
-                    store_key=None, budget=None):
+def compile_formula(formula, universe=(), options=None, store_key=None):
     """Compile an arbitrary propositional formula into a circuit.
 
     The twin of :func:`~repro.propositional.counter.wmc_formula`: the
@@ -121,12 +125,10 @@ def compile_formula(formula, universe=(), persist=None, cache_dir=None,
     formula but listed in ``universe`` contribute total leaves.
     """
     cnf = cnf_for_formula(formula, universe)
-    return compile_cnf(cnf, persist=persist, cache_dir=cache_dir,
-                       store_key=store_key, budget=budget)
+    return compile_cnf(cnf, options=options, store_key=store_key)
 
 
-def compile_lineage(formula, n, vocabulary=None, persist=None,
-                    cache_dir=None, budget=None):
+def compile_lineage(formula, n, vocabulary=None, options=None):
     """Compile the lineage of an FO sentence over domain ``[n]``.
 
     Returns a circuit over ground-atom leaves ``(pred, args)`` whose
@@ -146,6 +148,5 @@ def compile_lineage(formula, n, vocabulary=None, persist=None,
     universe = tuple(ground_tuples(vocabulary, n))
     store_key = ("lineage", formula, n,
                  vocabulary_signature(vocabulary, ordered=True))
-    return compile_formula(prop, universe, persist=persist,
-                           cache_dir=cache_dir, store_key=store_key,
-                           budget=budget)
+    return compile_formula(prop, universe, options=options,
+                           store_key=store_key)

@@ -36,6 +36,7 @@ from ..logic.scott import scott_normalize, skolemize_scott
 from ..logic.syntax import num_variables, predicates_of
 from ..logic.vocabulary import Predicate, Vocabulary, WeightedVocabulary
 from ..obs import span
+from ..options import SolverOptions
 from ..utils import LRUCache, binomial, check_domain_size, vocabulary_signature
 from ..wfomc.fo2 import _STRUCTURE_CACHE, FO2CellStructure, _combine_universal
 from .circuit import CIRCUIT_FORMAT, Circuit, CircuitBuilder
@@ -324,20 +325,23 @@ def _fo2_applicable(formula, vocabulary, n):
             and all(p.arity <= 2 for p in vocabulary))
 
 
-def compile_wfomc(formula, n, vocabulary=None, method="auto", persist=None,
-                  cache_dir=None, budget=None):
+def compile_wfomc(formula, n, vocabulary=None, options=None):
     """Compile one ``(formula, n)`` WFOMC instance into a circuit.
 
     ``vocabulary`` is a plain (unweighted)
     :class:`~repro.logic.vocabulary.Vocabulary` — compilation is
     weight-independent by construction; it defaults to the predicates of
-    the formula.  ``method`` is ``"auto"`` (FO2 when applicable, else
+    the formula.  Of the :class:`~repro.options.SolverOptions` knobs,
+    compilation reads ``method``, ``persist``/``cache_dir`` and
+    ``budget``; ``method`` is ``"auto"`` (FO2 when applicable, else
     lineage), ``"fo2"``, or ``"lineage"``.  Results are cached in
     memory and, with ``persist``, serialized to the ``circuits``
     namespace of the on-disk store, keyed on the weight-independent
     instance identity — a fresh process re-serving a sweep deserializes
     instead of re-tracing the search.
     """
+    opts = SolverOptions.resolve(options)
+    method = opts.method
     if method not in _METHODS:
         raise ValueError("unknown method {!r}; expected one of {}".format(
             method, _METHODS))
@@ -354,12 +358,12 @@ def compile_wfomc(formula, n, vocabulary=None, method="auto", persist=None,
     if compiled is not None:
         # A memory hit must still honor an explicit persist request: the
         # cached circuit may predate it (compiled without a store).
-        store = _store_for(persist, cache_dir)
+        store = _store_for(opts)
         if store is not None and store.get(CIRCUITS_NS, store_key) is None:
             store.put(CIRCUITS_NS, store_key, _encode_compiled(compiled))
         return compiled
 
-    store = _store_for(persist, cache_dir)
+    store = _store_for(opts)
     if store is not None:
         payload = store.get(CIRCUITS_NS, store_key)
         compiled = _decode_compiled(payload, formula, n)
@@ -374,26 +378,23 @@ def compile_wfomc(formula, n, vocabulary=None, method="auto", persist=None,
                 # Scott/Skolem prenexing assumes a nonempty domain; the
                 # trivial instance compiles through the (empty) lineage.
                 circuit = compile_lineage(formula, n, vocabulary,
-                                          persist=persist,
-                                          cache_dir=cache_dir,
-                                          budget=budget)
+                                          options=opts)
                 compiled = CompiledWFOMC(formula, n, "lineage", circuit)
             else:
                 circuit, fixed = _compile_fo2(formula, n, vocabulary,
-                                              store=store, budget=budget)
+                                              store=store, budget=opts.budget)
                 compiled = CompiledWFOMC(formula, n, "fo2", circuit, fixed)
         elif method == "auto" and _fo2_applicable(formula, vocabulary, n):
             try:
                 circuit, fixed = _compile_fo2(formula, n, vocabulary,
-                                              store=store, budget=budget)
+                                              store=store, budget=opts.budget)
                 compiled = CompiledWFOMC(formula, n, "fo2", circuit, fixed)
             except NotFO2Error:
                 compiled = None
         else:
             compiled = None
         if compiled is None:
-            circuit = compile_lineage(formula, n, vocabulary, persist=persist,
-                                      cache_dir=cache_dir, budget=budget)
+            circuit = compile_lineage(formula, n, vocabulary, options=opts)
             compiled = CompiledWFOMC(formula, n, "lineage", circuit)
 
     _COMPILE_COUNTERS["compiled"] += 1

@@ -32,24 +32,22 @@ __all__ = [
 ]
 
 
-def mln_probability(mln, query, n, options=None, **legacy):
+def mln_probability(mln, query, n, options=None):
     """Exact ``Pr_MLN(query)`` over domain ``[n]`` via the WFOMC reduction.
 
     The scalable inference path: polynomial in ``n`` whenever the reduced
     sentence is FO2, exact CDCL counting otherwise.  ``options`` is a
-    :class:`~repro.options.SolverOptions` (legacy ``method=``/
-    ``workers=``/``persist=``/``cache_dir=`` keywords keep working,
-    deprecated).  ``workers`` counts independent lineage components on a
-    process pool; ``persist``/``cache_dir`` serve repeated queries from
-    the persistent on-disk cache (results are bit-identical either way).
+    :class:`~repro.options.SolverOptions`: ``workers`` counts independent
+    lineage components on a process pool; ``persist``/``cache_dir``
+    serve repeated queries from the persistent on-disk cache (results
+    are bit-identical either way).
     """
     from .reduction import mln_probability_wfomc
 
-    return mln_probability_wfomc(
-        mln, query, n, options=SolverOptions.from_kwargs(options, **legacy))
+    return mln_probability_wfomc(mln, query, n, options=options)
 
 
-def mln_query_sweep(mlns, query, n, options=None, **legacy):
+def mln_query_sweep(mlns, query, n, options=None):
     """``Pr_MLN(query)`` for each MLN in ``mlns`` (a weight sweep).
 
     The MLNs typically share their structure and differ only in soft
@@ -68,7 +66,7 @@ def mln_query_sweep(mlns, query, n, options=None, **legacy):
     or contain a weight-1 soft constraint, the pole of the frozen
     reduction — fall back to the per-MLN loop automatically.
     """
-    opts = SolverOptions.from_kwargs(options, **legacy)
+    opts = SolverOptions.resolve(options)
     mlns = list(mlns)
     if not mlns:
         return []
@@ -118,10 +116,8 @@ def _compiled_query_sweep(mlns, query, n, opts):
     from ..compile import compile_wfomc
 
     vocabulary = vocabularies[0].vocabulary
-    num_c = compile_wfomc(conditioned, n, vocabulary, method=opts.method,
-                          budget=opts.budget, **opts.store_kwargs())
-    den_c = compile_wfomc(gamma, n, vocabulary, method=opts.method,
-                          budget=opts.budget, **opts.store_kwargs())
+    num_c = compile_wfomc(conditioned, n, vocabulary, options=opts)
+    den_c = compile_wfomc(gamma, n, vocabulary, options=opts)
     numerators = num_c.evaluate_many(vocabularies, backend=opts.backend)
     denominators = den_c.evaluate_many(vocabularies, backend=opts.backend)
     results = []

@@ -129,8 +129,7 @@ def _learning_setup(mln, n, opts):
     arities = predicates_of(gamma)
     vocabulary = Vocabulary(Predicate(name, arity)
                             for name, arity in sorted(arities.items()))
-    compiled = compile_wfomc(gamma, n, vocabulary, method=opts.method,
-                             budget=opts.budget, **opts.store_kwargs())
+    compiled = compile_wfomc(gamma, n, vocabulary, options=opts)
     return entries, vocabulary, compiled
 
 
@@ -181,7 +180,7 @@ def _gradient_at(compiled, vocabulary, entries, weights, counts, total, n):
     return gradient, value
 
 
-def mln_likelihood_gradient(mln, observations, n, options=None, **legacy):
+def mln_likelihood_gradient(mln, observations, n, options=None):
     """The exact average-log-likelihood gradient at the MLN's weights.
 
     Returns one Fraction per *soft* constraint (in constraint order).
@@ -190,7 +189,7 @@ def mln_likelihood_gradient(mln, observations, n, options=None, **legacy):
     gradient pass is always exact (the circuit's reverse mode carries
     Fractions regardless of ``options.backend``).
     """
-    opts = SolverOptions.from_kwargs(options, **legacy)
+    opts = SolverOptions.resolve(options)
     weighted, total = _normalize_observations(observations)
     entries, vocabulary, compiled = _learning_setup(mln, n, opts)
     weights = [c.weight for c, _name, _arity in entries]
@@ -209,7 +208,7 @@ def _log_fraction(value):
     return math.log(value.numerator) - math.log(value.denominator)
 
 
-def mln_average_log_likelihood(mln, observations, n, options=None, **legacy):
+def mln_average_log_likelihood(mln, observations, n, options=None):
     """The (float) average log-likelihood of the observations.
 
     ``Z`` is computed exactly through the compiled circuit and the
@@ -220,7 +219,7 @@ def mln_average_log_likelihood(mln, observations, n, options=None, **legacy):
     honored; the ``"float"`` backend is not (the log readout needs the
     exact partition value) and falls back to exact.
     """
-    opts = SolverOptions.from_kwargs(options, **legacy)
+    opts = SolverOptions.resolve(options)
     weighted, total = _normalize_observations(observations)
     entries, vocabulary, compiled = _learning_setup(mln, n, opts)
     weights = [c.weight for c, _name, _arity in entries]
@@ -241,7 +240,7 @@ def mln_average_log_likelihood(mln, observations, n, options=None, **legacy):
 
 def mln_weight_learn(mln, observations, n, *, steps=80,
                      learning_rate=Fraction(1, 8), tolerance=Fraction(1, 5000),
-                     options=None, max_denominator=_MAX_DENOMINATOR, **legacy):
+                     options=None, max_denominator=_MAX_DENOMINATOR):
     """Learn the MLN's soft weights by exact gradient ascent.
 
     ``mln`` supplies the structure and the *initial* soft weights;
@@ -253,12 +252,11 @@ def mln_weight_learn(mln, observations, n, *, steps=80,
     to a circuit **once**; each of the up-to-``steps`` iterations costs
     one circuit gradient pass, never a new count search.
 
-    ``options`` is a :class:`~repro.options.SolverOptions` (legacy
-    ``method=``/``persist=``/``cache_dir=`` keywords keep working and
-    are deprecated); it configures compilation and persistence.  The
-    gradient passes themselves always run exact (reverse mode carries
-    Fractions — ``options.backend`` accelerates the forward-only entry
-    points, not the ascent).
+    ``options`` is a :class:`~repro.options.SolverOptions`; it
+    configures compilation and persistence.  The gradient passes
+    themselves always run exact (reverse mode carries Fractions —
+    ``options.backend`` accelerates the forward-only entry points, not
+    the ascent).
 
     Steps that would cross the reduction pole at ``w = 1`` (or 0) are
     halved until they stay on the initial side, and iterates are
@@ -266,7 +264,7 @@ def mln_weight_learn(mln, observations, n, *, steps=80,
     :class:`MLNLearnResult`; the counting side stays exact throughout,
     so a run is deterministic and reproducible.
     """
-    opts = SolverOptions.from_kwargs(options, **legacy)
+    opts = SolverOptions.resolve(options)
     weighted, total = _normalize_observations(observations)
     entries, vocabulary, compiled = _learning_setup(mln, n, opts)
     if not entries:

@@ -52,34 +52,30 @@ class MLNReduction:
     gamma: object
     weighted_vocabulary: WeightedVocabulary
 
-    def probability(self, query, n, options=None, **legacy):
+    def probability(self, query, n, options=None):
         """``Pr_MLN(query) = WFOMC(query & gamma) / WFOMC(gamma)``.
 
         Numerator and denominator are computed over the *same* weighted
         vocabulary (covering any query-only predicates with neutral
         weights), so unconstrained atoms normalize away correctly.
-        ``options`` is a :class:`~repro.options.SolverOptions` (legacy
-        ``method=``/``workers=``/``persist=``/``cache_dir=`` keywords
-        keep working, deprecated) forwarded to
-        :func:`~repro.wfomc.solver.wfomc` — with ``persist``, repeated
+        ``options`` is a :class:`~repro.options.SolverOptions` forwarded
+        to :func:`~repro.wfomc.solver.wfomc` — with ``persist``, repeated
         queries over one MLN (or a weight sweep re-run in a fresh
         process) are served from the on-disk component cache.
         ``options.compile``/``options.backend`` route both counts
         through the knowledge-compilation fast path and the selected
         circuit-evaluation backend.
         """
-        opts = SolverOptions.from_kwargs(options, **legacy)
+        opts = SolverOptions.resolve(options)
         conditioned = conj(query, self.gamma)
         wv = self._wv_for(conditioned)
         if opts.compiled and opts.method != "enumerate":
             from ..compile import compile_wfomc
 
             num_c = compile_wfomc(conditioned, n, wv.vocabulary,
-                                  method=opts.method, budget=opts.budget,
-                                  **opts.store_kwargs())
+                                  options=opts)
             den_c = compile_wfomc(self.gamma, n, wv.vocabulary,
-                                  method=opts.method, budget=opts.budget,
-                                  **opts.store_kwargs())
+                                  options=opts)
             numerator = num_c.evaluate(wv, backend=opts.backend)
             denominator = den_c.evaluate(wv, backend=opts.backend)
         else:
@@ -150,8 +146,7 @@ def reduce_to_wfomc(mln):
     return MLNReduction(gamma=gamma, weighted_vocabulary=extended)
 
 
-def mln_probability_wfomc(mln, query, n, options=None, **legacy):
+def mln_probability_wfomc(mln, query, n, options=None):
     """``Pr_MLN(query)`` computed through the WFOMC reduction."""
     reduction = reduce_to_wfomc(mln)
-    return reduction.probability(
-        query, n, options=SolverOptions.from_kwargs(options, **legacy))
+    return reduction.probability(query, n, options=options)

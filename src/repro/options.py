@@ -1,26 +1,23 @@
 """One options object for every solver entry point: :class:`SolverOptions`.
 
-Five PRs of engine growth left each public entry point carrying the same
-nine knobs (``method``, ``workers``, ``branching``, ``learn``,
-``max_learned``, ``persist``, ``cache_dir``, ``phase_saving``,
-``compile``) as copy-pasted keyword parameters.  This module replaces
-that sprawl with a single frozen dataclass accepted as ``options=`` by
-every solver and MLN entry point and threaded as *one object* through
-dispatch, worker payloads, and the CLI — adding the tenth knob
-(``backend``, the circuit-evaluation backend of
-:mod:`repro.compile.backends`) without widening a single signature.
-
-Legacy keyword arguments keep working everywhere through
-:meth:`SolverOptions.from_kwargs`: an entry point declares
-``def wfomc(formula, n, wv=None, options=None, **legacy)`` and resolves
-both styles with one call.  The keyword style is **deprecated** in favor
-of ``options=SolverOptions(...)`` — it is not scheduled for removal, but
-new knobs will only be added here.
+Every knob that steers *how* a count is computed — never *what* it is —
+lives in one frozen dataclass: ``method``, ``workers``, the search knobs
+``branching``/``learn``/``max_learned``/``phase_saving``/``restarts``,
+``persist``/``cache_dir``, ``compile``/``backend``, and ``budget``.
+``options=`` is the only way a knob reaches the engine: every public
+entry point takes ``options: SolverOptions | None`` and threads that one
+object through dispatch, compilation, worker payloads, and the CLI.
+Anything else passed as ``options`` is a :class:`TypeError`, and so is
+a knob passed as its own keyword (``wfomc(f, n, method="fo2")``).
 
 >>> SolverOptions(method="lineage", workers=2)
 SolverOptions(method='lineage', workers=2)
->>> SolverOptions.from_kwargs(None, persist=True, branching="moms")
-SolverOptions(branching='moms', persist=True)
+>>> SolverOptions.resolve(None) == SolverOptions()
+True
+>>> SolverOptions.resolve("fo2")
+Traceback (most recent call last):
+    ...
+TypeError: options must be a SolverOptions or None, got 'fo2'
 
 ``None`` for any field means "the engine's default"; the object never
 needs to know what that default is, which keeps it decoupled from the
@@ -141,78 +138,24 @@ class SolverOptions:
                 "budget must be a repro.resilience.limits.Budget or None, "
                 "got {!r}".format(self.budget))
 
-    # -- the legacy-kwargs shim -------------------------------------------
-
     @classmethod
-    def from_kwargs(cls, options=None, /, **kwargs):
-        """Resolve an ``options=`` value plus legacy keyword arguments.
+    def resolve(cls, options):
+        """``options`` itself, or the all-defaults object for ``None``.
 
-        The single shim behind every entry point's ``**legacy``:
-
-        * ``options`` may be ``None``, a :class:`SolverOptions`, or a
-          bare method string (so historical positional calls like
-          ``wfomc(f, n, wv, "fo2")`` keep working);
-        * any non-``None`` legacy kwarg overrides the corresponding
-          field (``method=None`` in the kwargs means "keep the base
-          method", matching the old per-signature defaults);
-        * unknown keyword names raise :class:`TypeError`, exactly as the
-          old explicit signatures did.
+        The one boundary check every entry point makes; any other value
+        (a bare method string included) raises :class:`TypeError`.
         """
         if options is None:
-            base = cls()
-        elif isinstance(options, cls):
-            base = options
-        elif isinstance(options, str):
-            base = cls(method=options)
-        else:
-            raise TypeError(
-                "options must be a SolverOptions, a method string, or "
-                "None, got {!r}".format(options))
-        if not kwargs:
-            return base
-        unknown = [k for k in kwargs if k not in _FIELD_NAMES]
-        if unknown:
-            raise TypeError(
-                "unexpected keyword argument(s) {}; valid solver options "
-                "are {}".format(", ".join(sorted(unknown)),
-                                ", ".join(_FIELD_NAMES)))
-        overrides = {k: v for k, v in kwargs.items() if v is not None}
-        return base.replace(**overrides) if overrides else base
+            return _DEFAULTS
+        if isinstance(options, cls):
+            return options
+        raise TypeError(
+            "options must be a SolverOptions or None, got {!r}".format(
+                options))
 
     def replace(self, **changes):
         """A copy with the given fields replaced (validation re-runs)."""
         return dataclasses.replace(self, **changes)
-
-    def to_kwargs(self):
-        """The legacy keyword dict; non-default fields only.
-
-        Round-trips: ``SolverOptions.from_kwargs(None, **o.to_kwargs())
-        == o`` for every ``o`` (the property the test suite pins).
-        """
-        out = {}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if value != field.default:
-                out[field.name] = value
-        return out
-
-    # -- views for the layers below ---------------------------------------
-
-    def engine_kwargs(self):
-        """The knob subset the counting layers take as keywords."""
-        return {
-            "branching": self.branching,
-            "learn": self.learn,
-            "max_learned": self.max_learned,
-            "persist": self.persist,
-            "cache_dir": self.cache_dir,
-            "phase_saving": self.phase_saving,
-            "restarts": self.restarts,
-        }
-
-    def store_kwargs(self):
-        """The persistence subset (compile and cache layers)."""
-        return {"persist": self.persist, "cache_dir": self.cache_dir}
 
     @property
     def compiled(self):
@@ -225,9 +168,12 @@ class SolverOptions:
         return bool(self.compile) or self.backend is not None
 
     def __repr__(self):
+        """Non-default fields only: ``SolverOptions(workers=2)``."""
         shown = ", ".join(
-            "{}={!r}".format(k, v) for k, v in self.to_kwargs().items())
+            "{}={!r}".format(field.name, getattr(self, field.name))
+            for field in dataclasses.fields(self)
+            if getattr(self, field.name) != field.default)
         return "SolverOptions({})".format(shown)
 
 
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SolverOptions))
+_DEFAULTS = SolverOptions()

@@ -52,11 +52,12 @@ sharpSAT/Cachet-style conflict-driven counting search:
   cached are never dispatched; worker results are merged back under their
   canonical keys), each worker learns clauses locally, and exact
   arithmetic makes the merged result bit-identical to a serial run;
-* an opt-in **persistent cache** (``persist=True`` on the wrappers): the
-  component cache reads through to the content-addressed on-disk store
-  of :mod:`repro.cache`, shared across processes (and by the parallel
-  workers), so repeated sweeps warm-start from disk.  Stored values are
-  exact, keeping persisted runs bit-identical to cold ones;
+* an opt-in **persistent cache** (``SolverOptions(persist=True)`` on
+  the wrappers): the component cache reads through to the
+  content-addressed on-disk store of :mod:`repro.cache`, shared across
+  processes (and by the parallel workers), so repeated sweeps
+  warm-start from disk.  Stored values are exact, keeping persisted
+  runs bit-identical to cold ones;
 * **phase saving** (``phase_saving=True``, the default): variables
   unassigned by a backjump remember their last polarity and later
   decisions branch into it first (w-first order is the fallback) — in an
@@ -194,8 +195,6 @@ _SPLIT_PROBE = 32
 #: Theta_1 groundings) cross the threshold within a handful of decisions.
 _ACTIVITY_RATE_GATE = 16
 _ACTIVITY_MIN_CONFLICTS = 8
-
-_BRANCHING_CHOICES = ("evsids", "moms")
 
 
 class EngineStats:
@@ -826,9 +825,13 @@ class CountingEngine:
 
     ``weights`` maps each variable to its ``(w, wbar)`` pair and ``totals``
     to ``w + wbar``; values may be ints or Fractions.  ``cache``/``stats``/
-    ``key_cache`` default to module-level shared instances.  ``workers``
+    ``key_cache`` default to module-level shared instances.  ``options``
+    is a :class:`~repro.options.SolverOptions` (``None`` for the
+    defaults); the engine reads its search knobs, ``workers`` and
+    ``budget``, and hands the rest to worker processes.  ``workers``
     (``None`` or an int > 1) enables process-pool counting of top-level
-    components.
+    components; with ``persist``, ``cache_dir`` must name the resolved
+    store directory the workers should share (see :func:`wmc_cnf`).
 
     ``learn`` (default ``True``) selects the conflict-driven search with
     1-UIP clause learning; ``False`` restores the learning-free MOMS
@@ -844,28 +847,27 @@ class CountingEngine:
     """
 
     __slots__ = ("weights", "totals", "cache", "stats", "key_cache",
-                 "workers", "branching", "learn", "max_learned",
-                 "activity", "var_inc", "persist_dir", "phase_saving",
+                 "options", "workers", "branching", "learn", "max_learned",
+                 "activity", "var_inc", "phase_saving",
                  "restarts", "saved_phase", "search_conflicts",
                  "search_decisions", "search_activity_on", "budget")
 
     def __init__(self, weights, totals, cache=None, stats=None,
-                 key_cache=None, workers=None, branching=None, learn=None,
-                 max_learned=None, persist_dir=None, phase_saving=None,
-                 restarts=None, budget=None):
+                 key_cache=None, options=None):
+        opts = SolverOptions.resolve(options)
         self.weights = weights
         self.totals = totals
         self.cache = _SHARED_CACHE if cache is None else cache
         self.stats = _SHARED_STATS if stats is None else stats
         self.key_cache = _SHARED_KEY_CACHE if key_cache is None else key_cache
-        self.workers = workers
-        branching = "evsids" if branching is None else branching
-        if branching not in _BRANCHING_CHOICES:
-            raise ValueError("unknown branching {!r}; expected one of {}"
-                             .format(branching, _BRANCHING_CHOICES))
-        self.branching = branching
-        self.learn = True if learn is None else bool(learn)
-        self.max_learned = DEFAULT_MAX_LEARNED if max_learned is None else max_learned
+        #: The whole options object, kept for worker payloads; the
+        #: search reads only the resolved slots below.
+        self.options = opts
+        self.workers = opts.workers
+        self.branching = opts.branching or "evsids"
+        self.learn = True if opts.learn is None else bool(opts.learn)
+        self.max_learned = (DEFAULT_MAX_LEARNED if opts.max_learned is None
+                            else opts.max_learned)
         #: Phase saving: variables unassigned by a backjump remember
         #: their last polarity, and later decisions on them branch into
         #: that polarity first (w-first order is the fallback).  Like
@@ -874,19 +876,15 @@ class CountingEngine:
         #: saved phase only picks which one the search re-enters first,
         #: which steers where conflicts (and thus learned clauses and
         #: backjumps) happen.
-        self.phase_saving = (DEFAULT_PHASE_SAVING if phase_saving is None
-                             else bool(phase_saving))
+        self.phase_saving = (DEFAULT_PHASE_SAVING if opts.phase_saving is None
+                             else bool(opts.phase_saving))
         #: Luby restart unit in conflicts (0/None = no restarts).  A
         #: restart abandons every decision level of the current
         #: component search, keeping learned clauses and level-0 units;
         #: abandoned partial sums are recomputed through the component
         #: cache, so the counted value never changes.
-        self.restarts = 0 if restarts is None else int(restarts)
+        self.restarts = 0 if opts.restarts is None else int(opts.restarts)
         self.saved_phase = {}
-        #: When set, top-level components dispatched to worker processes
-        #: carry this cache directory so the workers read and write the
-        #: same persistent store as the parent.
-        self.persist_dir = persist_dir
         #: EVSIDS activities are engine-local and shared across the
         #: component searches of one run, so structure discovered in one
         #: search region steers decisions in the next.  Whether a given
@@ -901,7 +899,7 @@ class CountingEngine:
         #: decision and per conflict; ``None`` costs one attribute load
         #: per decision.  Never shipped to worker payloads — deadlines
         #: are enforced in the parent while polling futures.
-        self.budget = budget
+        self.budget = opts.budget
 
     # -- public entry ------------------------------------------------------
 
@@ -1651,16 +1649,10 @@ class CountingEngine:
         weights = self.weights
         totals = self.totals
         budget = self.budget
-        # Worker knobs travel as one picklable SolverOptions — the same
-        # object shape every public entry point takes.  The budget is
-        # deliberately excluded (see :meth:`_await_future`).
-        worker_options = SolverOptions(
-            branching=self.branching, learn=self.learn,
-            max_learned=self.max_learned,
-            persist=True if self.persist_dir is not None else None,
-            cache_dir=self.persist_dir,
-            phase_saving=self.phase_saving,
-            restarts=self.restarts or None)
+        # Worker knobs travel as the engine's own picklable
+        # SolverOptions.  The budget is deliberately excluded (see
+        # :meth:`_await_future`).
+        worker_options = self.options.replace(budget=None)
 
         def record(key, value, worker_stats):
             if worker_stats is not None:
@@ -1990,10 +1982,7 @@ def _count_component_task(payload):
     try:
         stats = EngineStats()
         engine = CountingEngine(weights, totals, cache=cache, stats=stats,
-                                branching=opts.branching, learn=opts.learn,
-                                max_learned=opts.max_learned,
-                                phase_saving=opts.phase_saving,
-                                restarts=opts.restarts)
+                                options=opts)
         value = engine._count_component(component)
         return value, stats.as_dict()
     finally:
@@ -2004,8 +1993,7 @@ def _count_component_task(payload):
 # -- public wrappers ---------------------------------------------------------
 
 
-def wmc_cnf(cnf, weight_of_label, engine_cache=None, stats=None, options=None,
-            **legacy):
+def wmc_cnf(cnf, weight_of_label, engine_cache=None, stats=None, options=None):
     """Exact WMC of a :class:`~repro.propositional.cnf.CNF`.
 
     ``weight_of_label`` maps a variable label to a
@@ -2015,14 +2003,11 @@ def wmc_cnf(cnf, weight_of_label, engine_cache=None, stats=None, options=None,
 
     ``engine_cache``/``stats`` override the shared component cache and
     statistics (callers wanting isolation pass fresh instances).
-    ``options`` is a :class:`~repro.options.SolverOptions` (legacy
-    keyword arguments — ``workers=``, ``branching=``, ``learn=``,
-    ``max_learned=``, ``persist=``, ``cache_dir=``, ``phase_saving=``,
-    ``restarts=`` —
-    keep working and are deprecated).  ``workers`` enables process-pool
-    counting of top-level components; the result is bit-identical to a
-    serial run.  ``branching``, ``learn`` and ``max_learned`` configure
-    the conflict-driven search (see :class:`CountingEngine`); they never
+    ``options`` is a :class:`~repro.options.SolverOptions` (``None`` for
+    the defaults).  ``workers`` enables process-pool counting of
+    top-level components; the result is bit-identical to a serial run.
+    ``branching``, ``learn`` and ``max_learned`` configure the
+    conflict-driven search (see :class:`CountingEngine`); they never
     change the counted value.
 
     ``persist`` layers the on-disk component store of
@@ -2032,7 +2017,7 @@ def wmc_cnf(cnf, weight_of_label, engine_cache=None, stats=None, options=None,
     it.  Persisted values are exact, so the count stays bit-identical;
     an unusable store silently degrades to in-memory caching.
     """
-    opts = SolverOptions.from_kwargs(options, **legacy)
+    opts = SolverOptions.resolve(options)
     if cnf.contradictory:
         return Fraction(0)
 
@@ -2050,23 +2035,22 @@ def wmc_cnf(cnf, weight_of_label, engine_cache=None, stats=None, options=None,
         weights[v] = (w, wbar)
         totals[v] = w + wbar
 
-    persist_dir = None
     if opts.persist:
         from ..cache import persistent_component_cache
 
         mem = _SHARED_CACHE if engine_cache is None else engine_cache
         backed = persistent_component_cache(opts.cache_dir, mem=mem)
-        if backed is not None:
+        if backed is None:
+            # An unusable store degrades to in-memory caching, and the
+            # workers must not try to persist either.
+            opts = opts.replace(persist=None)
+        else:
+            # Workers open the very store the parent resolved.
             engine_cache = backed
-            persist_dir = backed.store.directory
+            opts = opts.replace(cache_dir=backed.store.directory)
 
     engine = CountingEngine(weights, totals, cache=engine_cache, stats=stats,
-                            workers=opts.workers, branching=opts.branching,
-                            learn=opts.learn, max_learned=opts.max_learned,
-                            persist_dir=persist_dir,
-                            phase_saving=opts.phase_saving,
-                            restarts=opts.restarts,
-                            budget=opts.budget)
+                            options=opts)
     clauses = tuple(cnf.clauses)
     # ``to_cnf`` guarantees duplicate-free, non-empty clauses.
     with span("wmc_cnf", cat="engine", vars=cnf.num_vars,
@@ -2098,7 +2082,7 @@ def cnf_for_formula(formula, universe=()):
     return cnf
 
 
-def wmc_formula(formula, weight_of_label, universe=(), options=None, **legacy):
+def wmc_formula(formula, weight_of_label, universe=(), options=None):
     """Exact WMC of an arbitrary propositional formula.
 
     ``universe`` optionally lists labels that define the full variable set
@@ -2109,11 +2093,11 @@ def wmc_formula(formula, weight_of_label, universe=(), options=None, **legacy):
     so repeated counts of one ground formula at different weights skip
     the conversion.  The cached CNF is treated as read-only.
 
-    ``options`` is a :class:`~repro.options.SolverOptions`; legacy
-    keyword arguments keep working (deprecated — see :func:`wmc_cnf` for
-    the knobs).  The counted value is knob-independent.
+    ``options`` is a :class:`~repro.options.SolverOptions` (see
+    :func:`wmc_cnf` for the knobs).  The counted value is
+    knob-independent.
     """
-    opts = SolverOptions.from_kwargs(options, **legacy)
+    opts = SolverOptions.resolve(options)
     cnf = cnf_for_formula(formula, universe)
     return wmc_cnf(cnf, weight_of_label, options=opts)
 
@@ -2139,7 +2123,7 @@ def satisfiable(formula):
     return _sat(tuple(clauses))
 
 
-def _sat_residual(clauses):
+def _sat_residual(clauses, stats):
     """Watched-literal BCP plus residual extraction for the SAT path.
 
     Returns the residual clause tuple, or ``None`` on conflict.  Shares
@@ -2161,7 +2145,7 @@ def _sat_residual(clauses):
             watches.setdefault(c[1], []).append(ci)
     assign = {}
     if queue and not _propagate(watched, watches, watch_pair, assign, [],
-                                queue, _SAT_STATS):
+                                queue, stats):
         return None
     residual = []
     for c in watched:
@@ -2184,31 +2168,41 @@ def _sat_residual(clauses):
     return tuple(residual)
 
 
-#: SAT queries do not contribute to the shared counting statistics.
-_SAT_STATS = EngineStats()
-
-
 def _sat(clauses):
-    reduced = _sat_residual(clauses)
-    if reduced is None:
-        return False
-    if not reduced:
-        return True
+    """DPLL on an explicit stack: no Python frame per decision.
 
-    # Pure literal elimination is sound for SAT (not for counting).
-    polarity = {}
-    for c in reduced:
-        for lit in c:
-            v = lit if lit > 0 else -lit
-            polarity[v] = polarity.get(v, 0) | (1 if lit > 0 else 2)
-    for v, pol in polarity.items():
-        if pol != 3:
-            return _sat(reduced + (((v if pol == 1 else -v),),))
+    Each stack entry is a clause tuple whose decisions ride along as
+    unit clauses.  Every pure literal of a residual is assigned in one
+    step (sound for SAT, not for counting), then the most frequent
+    variable is branched on, positive polarity first.
+    """
+    # SAT queries do not contribute to the shared counting statistics.
+    stats = EngineStats()
+    stack = [clauses]
+    while stack:
+        reduced = _sat_residual(stack.pop(), stats)
+        if reduced is None:
+            continue
+        if not reduced:
+            return True
 
-    occurrences = {}
-    for c in reduced:
-        for lit in c:
-            v = lit if lit > 0 else -lit
-            occurrences[v] = occurrences.get(v, 0) + 1
-    var = max(occurrences, key=lambda v: (occurrences[v], -v))
-    return _sat(reduced + ((var,),)) or _sat(reduced + ((-var,),))
+        polarity = {}
+        for c in reduced:
+            for lit in c:
+                v = lit if lit > 0 else -lit
+                polarity[v] = polarity.get(v, 0) | (1 if lit > 0 else 2)
+        pure = tuple(((v if pol == 1 else -v),)
+                     for v, pol in polarity.items() if pol != 3)
+        if pure:
+            stack.append(reduced + pure)
+            continue
+
+        occurrences = {}
+        for c in reduced:
+            for lit in c:
+                v = lit if lit > 0 else -lit
+                occurrences[v] = occurrences.get(v, 0) + 1
+        var = max(occurrences, key=lambda v: (occurrences[v], -v))
+        stack.append(reduced + ((-var,),))
+        stack.append(reduced + ((var,),))
+    return False

@@ -139,10 +139,8 @@ class CircuitRegistry:
         try:
             with span("registry_compile", cat="serve", n=n,
                       method=options.method):
-                compiled = compile_wfomc(
-                    formula, n, vocabulary, method=options.method,
-                    persist=options.persist, cache_dir=options.cache_dir,
-                    budget=options.budget)
+                compiled = compile_wfomc(formula, n, vocabulary,
+                                         options=options)
         except BudgetExceededError:
             raise
         except Exception as exc:  # noqa: BLE001 — memoized as failed

@@ -48,23 +48,20 @@ def wfomc_enumerate(formula, n, weighted_vocabulary=None):
     return total
 
 
-def wfomc_lineage(formula, n, weighted_vocabulary=None, options=None,
-                  **legacy):
+def wfomc_lineage(formula, n, weighted_vocabulary=None, options=None):
     """WFOMC via lineage grounding and exact CDCL model counting.
 
-    ``options`` is a :class:`~repro.options.SolverOptions` (legacy
-    keyword arguments — ``workers=``, ``branching=``, ``learn=``,
-    ``max_learned=``, ``persist=``, ``cache_dir=``, ``phase_saving=`` —
-    keep working and are deprecated).  ``workers`` > 1 counts
-    independent top-level lineage components on a process pool; the
-    result is bit-identical to a serial run.  The conflict-driven-search
+    ``options`` is a :class:`~repro.options.SolverOptions` (or ``None``
+    for the defaults).  ``workers`` > 1 counts independent top-level
+    lineage components on a process pool; the result is bit-identical
+    to a serial run.  The conflict-driven-search
     knobs steer the counting engine only (see
     :class:`~repro.propositional.counter.CountingEngine`); the result is
     knob-independent.  ``persist``/``cache_dir`` back the engine's
     component cache with the on-disk store of :mod:`repro.cache`, so
     repeated runs (including separate processes) warm-start from disk.
     """
-    opts = SolverOptions.from_kwargs(options, **legacy)
+    opts = SolverOptions.resolve(options)
     _check_sentence(formula)
     check_domain_size(n)
     wv = weighted_vocabulary or WeightedVocabulary.counting(formula)
@@ -73,8 +70,8 @@ def wfomc_lineage(formula, n, weighted_vocabulary=None, options=None,
     return wmc_formula(prop, weight_of, universe, options=opts)
 
 
-def fomc_lineage(formula, n, options=None, **legacy):
+def fomc_lineage(formula, n, options=None):
     """Unweighted first-order model count via the lineage path."""
-    result = wfomc_lineage(formula, n, options=options, **legacy)
+    result = wfomc_lineage(formula, n, options=options)
     assert result.denominator == 1
     return int(result)

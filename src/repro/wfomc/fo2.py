@@ -66,6 +66,7 @@ from ..logic.syntax import (
 )
 from ..logic.vocabulary import WeightedVocabulary
 from ..grounding.lineage import _ground  # grounding of a quantifier-free matrix
+from ..options import SolverOptions
 from ..propositional.formula import peval, prop_vars
 from ..utils import LRUCache, binomial, check_domain_size, weights_signature
 
@@ -491,20 +492,21 @@ def _bits_weight(pairs, bits):
     return weight
 
 
-def wfomc_fo2(formula, n, weighted_vocabulary=None, persist=None,
-              cache_dir=None, budget=None):
+def wfomc_fo2(formula, n, weighted_vocabulary=None, options=None):
     """Symmetric WFOMC of an FO2 sentence in time polynomial in ``n``.
 
     ``formula`` may use nested quantifiers, equality, and any Boolean
     connectives, but at most two distinct variables and predicates of
     arity at most two.  Raises :class:`~repro.errors.NotFO2Error`
-    otherwise.  ``persist``/``cache_dir`` read the exponential cell and
-    2-table enumeration through the on-disk store of :mod:`repro.cache`.
+    otherwise.  Of the :class:`~repro.options.SolverOptions` knobs,
+    ``persist``/``cache_dir`` read the exponential cell and 2-table
+    enumeration through the on-disk store of :mod:`repro.cache`, and
     ``budget`` (a :class:`~repro.resilience.limits.Budget`) bounds the
     cell/2-table enumeration and the distribution recursion; aborting
     leaves every memo table consistent (only completed values are ever
     stored), so a retried call warm-starts.
     """
+    opts = SolverOptions.resolve(options)
     check_domain_size(n)
     wv = weighted_vocabulary or WeightedVocabulary.counting(formula)
 
@@ -515,8 +517,7 @@ def wfomc_fo2(formula, n, weighted_vocabulary=None, persist=None,
         # empty domain mentions no ground atoms at all.
         from .bruteforce import wfomc_lineage
 
-        return wfomc_lineage(formula, 0, wv, persist=persist,
-                             cache_dir=cache_dir)
+        return wfomc_lineage(formula, 0, wv, options=opts)
 
     if num_variables(formula) > 2:
         raise NotFO2Error(
@@ -549,10 +550,10 @@ def wfomc_fo2(formula, n, weighted_vocabulary=None, persist=None,
         _DECOMPOSITION_CACHE.put(cache_key, (decomposition, wv2))
     else:
         decomposition, wv2 = cached
-    if persist:
+    if opts.persist:
         from ..cache import open_store
 
-        store = open_store(cache_dir)
+        store = open_store(opts.cache_dir)
         decomposition.structure.store = store if not store.disabled else None
     else:
         # Persistence is per-call opt-in, but structures live in the
@@ -571,7 +572,8 @@ def wfomc_fo2(formula, n, weighted_vocabulary=None, persist=None,
             weight *= pair.w if bit else pair.wbar
         if weight == 0:
             continue
-        total += weight * decomposition.run(n, zero_assignment, budget=budget)
+        total += weight * decomposition.run(n, zero_assignment,
+                                            budget=opts.budget)
 
     # Predicates never mentioned by the matrix are unconstrained: every
     # ground atom contributes its full mass w + wbar.

@@ -9,8 +9,8 @@
    paper proves a general polynomial algorithm is impossible unless
    #P1 is in PTIME).
 
-``method`` can pin a specific algorithm: ``"fo2"``, ``"lineage"``,
-``"enumerate"``.
+``SolverOptions(method=...)`` can pin a specific algorithm: ``"fo2"``,
+``"lineage"``, ``"enumerate"``.
 
 On top of dispatch sit three layers of reuse:
 
@@ -28,11 +28,11 @@ On top of dispatch sit three layers of reuse:
   evaluates every weight set by polynomial evaluation, exactly the
   paper's positive-oracle argument.
 
-All of it is per-process; ``persist=True`` (with an optional
-``cache_dir=``) additionally reads the component, cardinality-polynomial,
-and FO2 cell-table layers through the on-disk store of
-:mod:`repro.cache`, so a second process over the same workload
-warm-starts from disk with bit-identical results.
+All of it is per-process; ``SolverOptions(persist=True)`` (with an
+optional ``cache_dir``) additionally reads the component,
+cardinality-polynomial, and FO2 cell-table layers through the on-disk
+store of :mod:`repro.cache`, so a second process over the same
+workload warm-starts from disk with bit-identical results.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ __all__ = [
     "solver_cache_stats",
     "clear_solver_caches",
 ]
-
-_METHODS = ("auto", "fo2", "lineage", "enumerate")
 
 #: Cached final results are single Fractions, so the cache can be large.
 _RESULT_CACHE = LRUCache(maxsize=4096)
@@ -110,10 +108,10 @@ def _codegen_store(opts):
         return None
     from ..compile.trace import _store_for
 
-    return _store_for(opts.persist, opts.cache_dir)
+    return _store_for(opts)
 
 
-def wfomc(formula, n, weighted_vocabulary=None, options=None, **legacy):
+def wfomc(formula, n, weighted_vocabulary=None, options=None):
     """Symmetric weighted first-order model count of a sentence.
 
     Parameters
@@ -129,19 +127,13 @@ def wfomc(formula, n, weighted_vocabulary=None, options=None, **legacy):
     options:
         A :class:`~repro.options.SolverOptions` carrying every knob
         (method, workers, engine search knobs, persistence, compilation,
-        evaluation backend) — or a bare method string as shorthand.
-        Legacy keyword arguments (``method=``, ``workers=``,
-        ``branching=``, ``learn=``, ``max_learned=``, ``persist=``,
-        ``cache_dir=``, ``phase_saving=``) keep working through
-        :meth:`~repro.options.SolverOptions.from_kwargs` and override
-        the corresponding ``options`` fields; the keyword style is
-        deprecated in favor of ``options=SolverOptions(...)``.
+        evaluation backend, budget), or ``None`` for the defaults.
 
     Returns an exact :class:`~fractions.Fraction` (an ``int``-valued one
     for integer weights).  Results are cached on
     ``(formula, n, weights, method)``.
     """
-    opts = SolverOptions.from_kwargs(options, **legacy)
+    opts = SolverOptions.resolve(options)
     wv = weighted_vocabulary or WeightedVocabulary.counting(formula)
 
     key = (formula, n, weights_signature(wv), opts.method)
@@ -163,8 +155,7 @@ def _dispatch(formula, n, wv, opts):
     """
     method = opts.method
     if method == "fo2":
-        return wfomc_fo2(formula, n, wv, budget=opts.budget,
-                         **opts.store_kwargs())
+        return wfomc_fo2(formula, n, wv, options=opts)
     if method == "lineage":
         return wfomc_lineage(formula, n, wv, options=opts)
     if method == "enumerate":
@@ -175,21 +166,20 @@ def _dispatch(formula, n, wv, opts):
     )
     if fo2_applicable:
         try:
-            return wfomc_fo2(formula, n, wv, budget=opts.budget,
-                             **opts.store_kwargs())
+            return wfomc_fo2(formula, n, wv, options=opts)
         except NotFO2Error:
             pass
     return wfomc_lineage(formula, n, wv, options=opts)
 
 
-def fomc(formula, n, options=None, **legacy):
+def fomc(formula, n, options=None):
     """Unweighted first-order model count (all weights ``(1, 1)``)."""
-    result = wfomc(formula, n, options=options, **legacy)
+    result = wfomc(formula, n, options=options)
     assert result.denominator == 1
     return int(result)
 
 
-def probability(formula, n, weighted_vocabulary=None, options=None, **legacy):
+def probability(formula, n, weighted_vocabulary=None, options=None):
     """Probability of the sentence in the induced distribution.
 
     ``Pr(Phi) = WFOMC(Phi, n, w, wbar) / WFOMC(true, n, w, wbar)`` — each
@@ -208,14 +198,12 @@ def probability(formula, n, weighted_vocabulary=None, options=None, **legacy):
     Raises :class:`~repro.errors.UnsupportedFormulaError` when the
     normalization constant is zero (e.g. Skolem weights ``(1, -1)``).
     """
-    opts = SolverOptions.from_kwargs(options, **legacy)
+    opts = SolverOptions.resolve(options)
     wv = weighted_vocabulary or WeightedVocabulary.counting(formula)
     if opts.compiled and opts.method != "enumerate":
         from ..compile import compile_wfomc
 
-        compiled = compile_wfomc(formula, n, wv.vocabulary,
-                                 method=opts.method, budget=opts.budget,
-                                 **opts.store_kwargs())
+        compiled = compile_wfomc(formula, n, wv.vocabulary, options=opts)
         numerator = compiled.evaluate(wv, backend=opts.backend,
                                       store=_codegen_store(opts))
     else:
@@ -228,7 +216,7 @@ def probability(formula, n, weighted_vocabulary=None, options=None, **legacy):
     return numerator / denominator
 
 
-def wfomc_batch(formula, ns, weighted_vocabulary=None, options=None, **legacy):
+def wfomc_batch(formula, ns, weighted_vocabulary=None, options=None):
     """WFOMC of one sentence at many domain sizes.
 
     Returns ``{n: WFOMC(formula, n)}``.  All sizes flow through the shared
@@ -247,7 +235,7 @@ def wfomc_batch(formula, ns, weighted_vocabulary=None, options=None, **legacy):
     unified backend surface.  Re-running the batch at new weights then
     costs one circuit evaluation per size.
     """
-    opts = SolverOptions.from_kwargs(options, **legacy)
+    opts = SolverOptions.resolve(options)
     wv = weighted_vocabulary or WeightedVocabulary.counting(formula)
     signature = weights_signature(wv)
 
@@ -263,9 +251,7 @@ def wfomc_batch(formula, ns, weighted_vocabulary=None, options=None, **legacy):
             compiled = registry.get(n)
             if compiled is None:
                 compiled = compile_wfomc(formula, n, wv.vocabulary,
-                                         method=opts.method,
-                                         budget=opts.budget,
-                                         **opts.store_kwargs())
+                                         options=opts)
                 registry[n] = compiled
             results[n] = compiled.evaluate(wv, backend=opts.backend,
                                            store=store)
@@ -292,7 +278,7 @@ def _cardinality_grid_size(vocabulary, n):
 
 
 def wfomc_weight_sweep(formula, n, weight_vocabularies, options=None,
-                       via_polynomial=None, **legacy):
+                       via_polynomial=None):
     """WFOMC of one ``(formula, n)`` instance at many weight assignments.
 
     ``weight_vocabularies`` is an iterable of
@@ -327,7 +313,7 @@ def wfomc_weight_sweep(formula, n, weight_vocabularies, options=None,
     store, which is what turns a repeated sweep in a fresh process from
     recompute-everything into warm-start serving.
     """
-    opts = SolverOptions.from_kwargs(options, **legacy)
+    opts = SolverOptions.resolve(options)
     weight_vocabularies = list(weight_vocabularies)
     if not weight_vocabularies:
         return []
@@ -340,8 +326,7 @@ def wfomc_weight_sweep(formula, n, weight_vocabularies, options=None,
         # circuit evaluation through the selected backend.
         from ..compile import compile_wfomc
 
-        compiled = compile_wfomc(formula, n, vocabulary, method=opts.method,
-                                 budget=opts.budget, **opts.store_kwargs())
+        compiled = compile_wfomc(formula, n, vocabulary, options=opts)
         with span("weight_sweep", cat="solver", route="compiled", n=n,
                   k=len(weight_vocabularies)):
             return compiled.evaluate_many(weight_vocabularies,

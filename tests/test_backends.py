@@ -80,7 +80,7 @@ class TestUnifiedSurface:
 
     def test_exact_backends_bit_identical(self):
         f, n, vocabularies = _instance()
-        compiled = compile_wfomc(f, n, method="lineage")
+        compiled = compile_wfomc(f, n, options=SolverOptions(method="lineage"))
         reference = compiled.evaluate_many(vocabularies)
         assert all(isinstance(v, Fraction) for v in reference)
         for backend in ("exact", "batched", "codegen"):
@@ -95,7 +95,7 @@ class TestUnifiedSurface:
 
     def test_uniform_batch_broadcasts(self):
         f, n, vocabularies = _instance()
-        compiled = compile_wfomc(f, n, method="lineage")
+        compiled = compile_wfomc(f, n, options=SolverOptions(method="lineage"))
         same = [vocabularies[0]] * 4
         reference = compiled.evaluate(vocabularies[0])
         for backend in ("batched", "codegen"):
@@ -104,7 +104,7 @@ class TestUnifiedSurface:
 
     def test_empty_batch(self):
         f, n, _ = _instance()
-        compiled = compile_wfomc(f, n, method="lineage")
+        compiled = compile_wfomc(f, n, options=SolverOptions(method="lineage"))
         for backend in ("exact", "batched", "codegen"):
             assert compiled.evaluate_many([], backend=backend) == []
 
@@ -217,7 +217,7 @@ class TestCodegen:
 
         monkeypatch.setattr(backends, "CODEGEN_NODE_LIMIT", 1)
         f, n, vocabularies = _instance()
-        compiled = compile_wfomc(f, n, method="lineage")
+        compiled = compile_wfomc(f, n, options=SolverOptions(method="lineage"))
         reference = compiled.evaluate_many(vocabularies)
         clear_backend_stats()
         assert compiled.evaluate_many(vocabularies,

@@ -26,6 +26,7 @@ from repro.cache import (
     open_store,
 )
 from repro.cache import store as store_module
+from repro.options import SolverOptions
 from repro.propositional.counter import EngineStats, wmc_cnf
 from repro.propositional.cnf import CNF
 from repro.weights import WeightPair
@@ -42,6 +43,7 @@ from fractions import Fraction
 from repro.logic.parser import parse
 from repro.logic.syntax import predicates_of
 from repro.logic.vocabulary import WeightedVocabulary
+from repro.options import SolverOptions
 from repro.wfomc.solver import wfomc_weight_sweep
 
 formula = parse("forall x, y. (R(x) | S(x, y) | T(y))")
@@ -51,8 +53,10 @@ vocabularies = [
         {name: (Fraction(k, 3), 1) for name in arities}, arities)
     for k in range(1, 5)
 ]
-results = wfomc_weight_sweep(formula, 2, vocabularies, method="lineage",
-                             persist=True, cache_dir=sys.argv[1])
+results = wfomc_weight_sweep(
+    formula, 2, vocabularies,
+    options=SolverOptions(method="lineage", persist=True,
+                          cache_dir=sys.argv[1]))
 print(";".join(str(r) for r in results))
 """
 
@@ -227,14 +231,16 @@ class TestStoreBackedComponentCache:
         plain = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
                         stats=EngineStats())
         cold = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
-                       stats=EngineStats(), persist=True,
-                       cache_dir=str(tmp_path))
+                       stats=EngineStats(),
+                       options=SolverOptions(persist=True,
+                                             cache_dir=str(tmp_path)))
         store = open_store(str(tmp_path))
         store.flush()
         hits_before = store.hits
         warm = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
-                       stats=EngineStats(), persist=True,
-                       cache_dir=str(tmp_path))
+                       stats=EngineStats(),
+                       options=SolverOptions(persist=True,
+                                             cache_dir=str(tmp_path)))
         assert plain == cold == warm
         assert store.hits > hits_before  # the warm run read from disk
 
@@ -248,8 +254,9 @@ class TestStoreBackedComponentCache:
         cnf.add_clause((-2, 3))
         pairs = {v: WeightPair(1, 1) for v in range(1, 4)}
         got = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
-                      stats=EngineStats(), persist=True,
-                      cache_dir=str(blocker / "nested"))
+                      stats=EngineStats(),
+                      options=SolverOptions(
+                          persist=True, cache_dir=str(blocker / "nested")))
         assert got == wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
                               stats=EngineStats())
 
@@ -306,8 +313,9 @@ class TestFO2PersistScope:
 
         fo2.clear_fo2_caches()
         sentence = parse("forall x. exists y. (R(x, y) | P(x))")
-        persisted = fo2.wfomc_fo2(sentence, 3, persist=True,
-                                  cache_dir=str(tmp_path))
+        persisted = fo2.wfomc_fo2(
+            sentence, 3,
+            options=SolverOptions(persist=True, cache_dir=str(tmp_path)))
         plain = fo2.wfomc_fo2(sentence, 3)
         assert persisted == plain
         structures = list(fo2._STRUCTURE_CACHE._data.values())
@@ -339,8 +347,10 @@ class TestWorkersShareTheStore:
             serial = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
                              stats=EngineStats())
             parallel = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
-                               stats=EngineStats(), workers=2, persist=True,
-                               cache_dir=str(tmp_path))
+                               stats=EngineStats(),
+                               options=SolverOptions(
+                                   workers=2, persist=True,
+                                   cache_dir=str(tmp_path)))
             assert parallel == serial
             store = open_store(str(tmp_path))
             store.flush()

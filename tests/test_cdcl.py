@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 
+from repro.options import SolverOptions
 from repro.propositional.cnf import CNF
 from repro.propositional.counter import (
     CountingEngine,
@@ -54,7 +55,7 @@ def _engine(weights_pairs, **knobs):
     weights = {v: (p.w, p.wbar) for v, p in weights_pairs.items()}
     totals = {v: p.w + p.wbar for v, p in weights_pairs.items()}
     return CountingEngine(weights, totals, cache={}, stats=EngineStats(),
-                          key_cache={}, **knobs)
+                          key_cache={}, options=SolverOptions(**knobs))
 
 
 def _hard_random_clauses(num_vars=24, ratio=4.2, seed=5):
@@ -84,7 +85,8 @@ class TestCDCLAgainstEnumeration:
         for knobs in ({"learn": True}, {"learn": True, "branching": "moms"},
                       {"learn": False}):
             got = wmc_cnf(cnf, lambda v: pairs[v - 1], engine_cache={},
-                          stats=EngineStats(), **knobs)
+                          stats=EngineStats(),
+                          options=SolverOptions(**knobs))
             assert got == reference
 
     @settings(max_examples=40, deadline=None)
@@ -138,14 +140,14 @@ class TestParallelLearningDeterminism:
     def test_learning_with_workers_is_bit_identical(self):
         cnf, pairs = self._multi_component_cnf()
         serial = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
-                         stats=EngineStats(), learn=True)
+                         stats=EngineStats(), options=SolverOptions(learn=True))
         no_learn = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
-                           stats=EngineStats(), learn=False)
+                           stats=EngineStats(), options=SolverOptions(learn=False))
         assert serial == no_learn
         for _ in range(3):
             stats = EngineStats()
             parallel = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
-                               stats=stats, workers=2, learn=True)
+                               stats=stats, options=SolverOptions(workers=2, learn=True))
             assert parallel == serial
             assert (parallel.numerator, parallel.denominator) == (
                 serial.numerator, serial.denominator,
@@ -160,7 +162,7 @@ class TestParallelLearningDeterminism:
         cnf, pairs = self._multi_component_cnf()
         stats = EngineStats()
         value = wmc_cnf(cnf, pairs.__getitem__, engine_cache={}, stats=stats,
-                        workers=2, learn=True, max_learned=16)
+                        options=SolverOptions(workers=2, learn=True, max_learned=16))
         assert stats.parallel_tasks >= 2
         # Workers learned locally and reported it through the stats merge.
         assert stats.conflicts > 0
@@ -272,11 +274,11 @@ class TestLearnedDatabase:
         key_cache = {}
         first = CountingEngine(weights, totals, cache=cache,
                                stats=EngineStats(), key_cache=key_cache,
-                               learn=True).run(clauses)
+                               options=SolverOptions(learn=True)).run(clauses)
         replay_stats = EngineStats()
         replay = CountingEngine(weights, totals, cache=cache,
                                 stats=replay_stats, key_cache=key_cache,
-                                learn=False).run(clauses)
+                                options=SolverOptions(learn=False)).run(clauses)
         assert replay == first
         assert replay_stats.decisions == 0  # resolved by cache alone
         assert replay_stats.cache_hits >= 1
@@ -287,19 +289,19 @@ class TestKnobPlumbing:
         from repro.logic.parser import parse
 
         f = parse("forall x, y. (R(x) | S(x, y) | T(y))")
-        default = wfomc(f, 3, method="lineage")
+        default = wfomc(f, 3, options=SolverOptions(method="lineage"))
         assert default == 13009
-        assert wfomc(f, 3, method="lineage", learn=False) == default
-        assert wfomc(f, 3, method="lineage", branching="moms") == default
-        assert wfomc(f, 3, method="lineage", max_learned=8) == default
-        assert wfomc(f, 3, method="lineage", restarts=1) == default
+        assert wfomc(f, 3, options=SolverOptions(method="lineage", learn=False)) == default
+        assert wfomc(f, 3, options=SolverOptions(method="lineage", branching="moms")) == default
+        assert wfomc(f, 3, options=SolverOptions(method="lineage", max_learned=8)) == default
+        assert wfomc(f, 3, options=SolverOptions(method="lineage", restarts=1)) == default
 
     def test_unknown_branching_rejected(self):
         import pytest
 
         with pytest.raises(ValueError):
             CountingEngine({1: (1, 1)}, {1: 2}, cache={}, stats=EngineStats(),
-                           branching="vsads")
+                           options=SolverOptions(branching="vsads"))
 
     def test_engine_stats_expose_cdcl_counters(self):
         stats = EngineStats()
@@ -352,7 +354,7 @@ class TestLubyRestarts:
                          stats=EngineStats())
         stats = EngineStats()
         restarted = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
-                            stats=stats, workers=2, restarts=1)
+                            stats=stats, options=SolverOptions(workers=2, restarts=1))
         assert restarted == serial
         # The knob rides the worker payload: the merged worker counters
         # report the restarts taken inside the pool.
@@ -408,7 +410,7 @@ class TestPhaseSaving:
             stats = EngineStats()
             counts[phase_saving] = wmc_cnf(
                 cnf, lambda v: pairs[v - 1], engine_cache={}, stats=stats,
-                phase_saving=phase_saving)
+                options=SolverOptions(phase_saving=phase_saving))
             decisions[phase_saving] = stats.decisions
             hits[phase_saving] = stats.phase_hits
         assert counts[True] == counts[False] == _wmc_reference(clauses, pairs)
@@ -420,8 +422,8 @@ class TestPhaseSaving:
         from repro.logic.parser import parse
 
         f = parse("forall x, y. (R(x) | S(x, y) | T(y))")
-        assert (wfomc(f, 3, method="lineage", phase_saving=False)
-                == wfomc(f, 3, method="lineage", phase_saving=True)
+        assert (wfomc(f, 3, options=SolverOptions(method="lineage", phase_saving=False))
+                == wfomc(f, 3, options=SolverOptions(method="lineage", phase_saving=True))
                 == 13009)
 
     def test_phase_saving_with_workers_is_bit_identical(self):
@@ -431,8 +433,9 @@ class TestPhaseSaving:
         cnf = _cnf_from_clauses(clauses, 18)
         weight_of = lambda v: WeightPair(1, 1)  # noqa: E731
         serial = wmc_cnf(cnf, weight_of, engine_cache={}, stats=EngineStats(),
-                         phase_saving=True)
+                         options=SolverOptions(phase_saving=True))
         parallel = wmc_cnf(cnf, weight_of, engine_cache={},
-                           stats=EngineStats(), workers=2, phase_saving=True)
+                           stats=EngineStats(),
+                           options=SolverOptions(workers=2, phase_saving=True))
         shutdown_worker_pool()
         assert serial == parallel

@@ -26,6 +26,7 @@ from repro.compile import (
 from repro.cache import decode_value, encode_value
 from repro.logic.parser import parse
 from repro.logic.vocabulary import WeightedVocabulary
+from repro.options import SolverOptions
 from repro.propositional.cnf import CNF
 from repro.propositional.counter import (
     EngineStats,
@@ -306,9 +307,9 @@ class TestCompileWFOMC:
         weighted = WeightedVocabulary.uniform(
             WeightedVocabulary.counting(sentence).vocabulary,
             WeightPair(Fraction(1, 2), Fraction(3, 2)))
-        reference = wfomc(sentence, n, weighted, method="lineage")
+        reference = wfomc(sentence, n, weighted, options=SolverOptions(method="lineage"))
         for method in ("auto", "fo2", "lineage"):
-            compiled = compile_wfomc(sentence, n, method=method)
+            compiled = compile_wfomc(sentence, n, options=SolverOptions(method=method))
             assert compiled.evaluate(weighted) == reference
 
     def test_kind_dispatch(self):
@@ -320,13 +321,13 @@ class TestCompileWFOMC:
 
     def test_domain_size_zero_routes_to_lineage(self):
         sentence = parse("forall x. exists y. R(x, y)")
-        compiled = compile_wfomc(sentence, 0, method="fo2")
+        compiled = compile_wfomc(sentence, 0, options=SolverOptions(method="fo2"))
         assert compiled.kind == "lineage"
         assert compiled.evaluate(WeightedVocabulary.counting(sentence)) == 1
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            compile_wfomc(parse("exists x. P(x)"), 2, method="enumerate")
+            compile_wfomc(parse("exists x. P(x)"), 2, options=SolverOptions(method="enumerate"))
 
     def test_compiled_cache_hits(self):
         clear_compile_cache()
@@ -344,11 +345,11 @@ class TestCompileWFOMC:
         # interpolation must equal the circuit gradient exactly.
         sentence = parse("forall x, y. (R(x, y) | R(y, x))")
         for method in ("fo2", "lineage"):
-            compiled = compile_wfomc(sentence, 3, method=method)
+            compiled = compile_wfomc(sentence, 3, options=SolverOptions(method=method))
             base = WeightedVocabulary.from_weights(
                 {"R": (Fraction(1, 2), Fraction(2, 3))}, {"R": 2})
             value, grads = compiled.gradient(base)
-            assert value == wfomc(sentence, 3, base, method="lineage")
+            assert value == wfomc(sentence, 3, base, options=SolverOptions(method="lineage"))
             degree = 9 + 1  # at most n**2 atoms, degree <= 9; margin
             points = []
             for t in range(degree + 1):
@@ -366,8 +367,8 @@ class TestPersistence:
         wv = WeightedVocabulary.from_weights(
             {"R": (Fraction(1, 2), 1), "S": (2, 1)}, {"R": 1, "S": 2})
         clear_compile_cache()
-        first = compile_wfomc(sentence, 3, method="lineage", persist=True,
-                              cache_dir=cache_dir)
+        first = compile_wfomc(sentence, 3, options=SolverOptions(
+            method="lineage", persist=True, cache_dir=cache_dir))
         expected = first.evaluate(wv)
         from repro.cache import open_store
 
@@ -375,8 +376,8 @@ class TestPersistence:
         # A cold in-memory state must be served from disk.
         clear_compile_cache()
         reset_engine()
-        second = compile_wfomc(sentence, 3, method="lineage", persist=True,
-                               cache_dir=cache_dir)
+        second = compile_wfomc(sentence, 3, options=SolverOptions(
+            method="lineage", persist=True, cache_dir=cache_dir))
         assert compile_stats()["compile_store_hits"] == 1
         assert second.evaluate(wv) == expected
 
@@ -386,13 +387,15 @@ class TestPersistence:
         wv = WeightedVocabulary.from_weights({"R": (Fraction(1, 3), 2)},
                                              {"R": 2})
         clear_compile_cache()
-        first = compile_wfomc(sentence, 3, persist=True, cache_dir=cache_dir)
+        first = compile_wfomc(sentence, 3, options=SolverOptions(
+            persist=True, cache_dir=cache_dir))
         expected = first.evaluate(wv)
         from repro.cache import open_store
 
         open_store(cache_dir).flush()
         clear_compile_cache()
-        second = compile_wfomc(sentence, 3, persist=True, cache_dir=cache_dir)
+        second = compile_wfomc(sentence, 3, options=SolverOptions(
+            persist=True, cache_dir=cache_dir))
         assert second.kind == "fo2"
         assert second.fixed_pairs == first.fixed_pairs
         assert second.evaluate(wv) == expected
@@ -408,9 +411,9 @@ class TestSolverFastPaths:
             for k in range(1, 6)
         ]
         direct = wfomc_weight_sweep(sentence, 3, vocabularies,
-                                    method="lineage", via_polynomial=False)
+                                    options=SolverOptions(method="lineage"), via_polynomial=False)
         compiled = wfomc_weight_sweep(sentence, 3, vocabularies,
-                                      method="lineage", compile=True)
+                                      options=SolverOptions(method="lineage", compile=True))
         assert compiled == direct
         for a, b in zip(compiled, direct):
             assert (a.numerator, a.denominator) == (b.numerator, b.denominator)
@@ -418,21 +421,21 @@ class TestSolverFastPaths:
     def test_batch_compile_matches_direct(self):
         sentence = parse("forall x. exists y. R(x, y)")
         direct = wfomc_batch(sentence, [1, 2, 3])
-        compiled = wfomc_batch(sentence, [1, 2, 3], compile=True)
+        compiled = wfomc_batch(sentence, [1, 2, 3], options=SolverOptions(compile=True))
         assert compiled == direct
 
     def test_probability_compile_matches_direct(self):
         sentence = parse("exists x. P(x)")
         wv = WeightedVocabulary.from_weights(
             {"P": (Fraction(1, 3), Fraction(2, 3))}, {"P": 1})
-        assert (probability(sentence, 3, wv, compile=True)
+        assert (probability(sentence, 3, wv, options=SolverOptions(compile=True))
                 == probability(sentence, 3, wv))
 
     def test_enumerate_method_ignores_compile(self):
         sentence = parse("exists x. P(x)")
         assert (wfomc_weight_sweep(
                     sentence, 2, [WeightedVocabulary.counting(sentence)],
-                    method="enumerate", compile=True)
+                    options=SolverOptions(method="enumerate", compile=True))
                 == wfomc_weight_sweep(
                     sentence, 2, [WeightedVocabulary.counting(sentence)],
-                    method="enumerate"))
+                    options=SolverOptions(method="enumerate")))

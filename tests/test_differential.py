@@ -26,6 +26,7 @@ from hypothesis import given, settings
 
 from repro.compile import compile_cnf, compile_wfomc, clear_compile_cache
 from repro.grounding.lineage import clear_grounding_caches
+from repro.options import SolverOptions
 from repro.propositional.cnf import CNF
 from repro.propositional.counter import EngineStats, reset_engine, wmc_cnf
 from repro.wfomc.solver import clear_solver_caches, wfomc
@@ -99,7 +100,8 @@ def _count_all_ways(cnf, pairs, cache_dir):
         ("persist-warm", {"persist": True, "cache_dir": cache_dir}),
     ):
         results[name] = wmc_cnf(cnf, weight_of, engine_cache={},
-                                stats=EngineStats(), **kwargs)
+                                stats=EngineStats(),
+                                options=SolverOptions(**kwargs))
     circuit_weights = lambda v: tuple(pairs[v - 1])  # noqa: E731
     reset_engine()  # compiled-cold: empty trace-template cache
     circuit = compile_cnf(cnf)
@@ -180,7 +182,7 @@ class TestFO2Differential:
     def test_fo2_lineage_enumeration_and_persistence_agree(
             self, sentence, wv, cache_dir):
         n = 2
-        reference = wfomc(sentence, n, wv, method="enumerate")
+        reference = wfomc(sentence, n, wv, options=SolverOptions(method="enumerate"))
         configurations = (
             ("fo2", {"method": "fo2"}),
             ("lineage", {"method": "lineage"}),
@@ -196,7 +198,7 @@ class TestFO2Differential:
             reset_engine()
             clear_grounding_caches()
             clear_solver_caches()
-            got = wfomc(sentence, n, wv, **kwargs)
+            got = wfomc(sentence, n, wv, options=SolverOptions(**kwargs))
             assert got == reference, name
         # Compiled circuits, cold and cache-warm, for both kinds.
         for method in ("fo2", "lineage"):
@@ -206,7 +208,7 @@ class TestFO2Differential:
             clear_compile_cache()
             try:
                 compiled = compile_wfomc(sentence, n, wv.vocabulary,
-                                         method=method)
+                                         options=SolverOptions(method=method))
             except Exception as exc:  # NotFO2Error from strict fo2 mode
                 from repro.errors import NotFO2Error
 
@@ -215,7 +217,7 @@ class TestFO2Differential:
                 raise
             assert compiled.evaluate(wv) == reference, (
                 "compiled-cold", method)
-            warm = compile_wfomc(sentence, n, wv.vocabulary, method=method)
+            warm = compile_wfomc(sentence, n, wv.vocabulary, options=SolverOptions(method=method))
             assert warm.evaluate(wv) == reference, ("compiled-warm", method)
 
 
@@ -283,7 +285,7 @@ class TestSeededRegressionCorpus:
         from repro.logic.parser import parse
 
         sentence = parse(text)
-        reference = wfomc(sentence, 3, method="lineage")
+        reference = wfomc(sentence, 3, options=SolverOptions(method="lineage"))
         for kwargs in ({"method": "fo2"},
                        {"method": "fo2", "persist": True,
                         "cache_dir": cache_dir},
@@ -292,7 +294,8 @@ class TestSeededRegressionCorpus:
             reset_engine()
             clear_grounding_caches()
             clear_solver_caches()
-            assert wfomc(sentence, 3, **kwargs) == reference
+            assert wfomc(sentence, 3,
+                         options=SolverOptions(**kwargs)) == reference
 
 
 class TestCircuitGradientDifferential:
@@ -342,7 +345,7 @@ class TestCircuitGradientDifferential:
         n = 2
         compiled = compile_wfomc(sentence, n, wv.vocabulary)
         value, grads = compiled.gradient(wv)
-        assert value == wfomc(sentence, n, wv, method="enumerate")
+        assert value == wfomc(sentence, n, wv, options=SolverOptions(method="enumerate"))
         name = next(iter(p.name for p in wv.vocabulary))
         arity = next(p.arity for p in wv.vocabulary if p.name == name)
         degree = n ** arity

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 
 from repro.grounding.lineage import clear_grounding_caches, grounding_cache_stats
 from repro.logic.vocabulary import WeightedVocabulary
+from repro.options import SolverOptions
 from repro.propositional.cnf import CNF
 from repro.propositional.counter import (
     CountingEngine,
@@ -84,7 +85,7 @@ class TestEngineAgainstEnumeration:
     @settings(max_examples=25, deadline=None)
     @given(fo2_nested_sentences(), weighted_vocabularies())
     def test_random_sentences_match_world_enumeration(self, sentence, wv):
-        assert wfomc(sentence, 2, wv, method="lineage") == wfomc_enumerate(
+        assert wfomc(sentence, 2, wv, options=SolverOptions(method="lineage")) == wfomc_enumerate(
             sentence, 2, wv
         )
 
@@ -110,7 +111,7 @@ class TestEngineAgainstEnumeration:
         serial = wmc_cnf(cnf, lambda v: pairs[v - 1],
                          engine_cache={}, stats=EngineStats())
         parallel = wmc_cnf(cnf, lambda v: pairs[v - 1],
-                           engine_cache={}, stats=EngineStats(), workers=2)
+                           engine_cache={}, stats=EngineStats(), options=SolverOptions(workers=2))
         assert serial == parallel == _wmc_reference(clauses, pairs)
 
 
@@ -138,7 +139,7 @@ class TestParallelDeterminism:
                          engine_cache={}, stats=EngineStats())
         runs = [
             wmc_cnf(cnf, pairs.__getitem__,
-                    engine_cache={}, stats=EngineStats(), workers=3)
+                    engine_cache={}, stats=EngineStats(), options=SolverOptions(workers=3))
             for _ in range(3)
         ]
         for value in runs:
@@ -152,13 +153,13 @@ class TestParallelDeterminism:
         cache = {}
         stats = EngineStats()
         first = wmc_cnf(cnf, pairs.__getitem__,
-                        engine_cache=cache, stats=stats, workers=2)
+                        engine_cache=cache, stats=stats, options=SolverOptions(workers=2))
         assert stats.parallel_tasks >= 2
         assert len(cache) >= stats.parallel_tasks  # results merged back
         # Second run reads everything through the merged parent cache.
         again = EngineStats()
         assert wmc_cnf(cnf, pairs.__getitem__,
-                       engine_cache=cache, stats=again, workers=2) == first
+                       engine_cache=cache, stats=again, options=SolverOptions(workers=2)) == first
         assert again.parallel_tasks == 0
         assert again.cache_hits >= 4
 
@@ -298,10 +299,10 @@ class TestSolverCaches:
         from repro.logic.parser import parse
 
         f = parse("forall x, y. (R(x) | S(x, y) | T(y))")
-        first = wfomc(f, 2, method="lineage")
+        first = wfomc(f, 2, options=SolverOptions(method="lineage"))
         assert first == 161
         before = solver_cache_stats()["results"]["hits"]
-        assert wfomc(f, 2, method="lineage") == 161
+        assert wfomc(f, 2, options=SolverOptions(method="lineage")) == 161
         assert solver_cache_stats()["results"]["hits"] == before + 1
 
     def test_lineage_reused_across_weight_changes(self):
@@ -314,8 +315,8 @@ class TestSolverCaches:
         wv2 = WeightedVocabulary.from_weights(
             {"R": (3, 1), "S": (1, 1), "T": (1, 1)}, {"R": 1, "S": 2, "T": 1}
         )
-        a = wfomc(f, 2, wv1, method="lineage")
-        b = wfomc(f, 2, wv2, method="lineage")
+        a = wfomc(f, 2, wv1, options=SolverOptions(method="lineage"))
+        b = wfomc(f, 2, wv2, options=SolverOptions(method="lineage"))
         assert a != b  # weights actually matter
         assert grounding_cache_stats()["lineage"]["hits"] >= 1
 
@@ -323,10 +324,10 @@ class TestSolverCaches:
         from repro.logic.parser import parse
 
         f = parse("forall x, y. (R(x) | S(x, y) | T(y))")
-        batch = wfomc_batch(f, [1, 2, 2, 3], method="lineage")
+        batch = wfomc_batch(f, [1, 2, 2, 3], options=SolverOptions(method="lineage"))
         assert set(batch) == {1, 2, 3}
         for n, value in batch.items():
-            assert value == wfomc(f, n, method="lineage")
+            assert value == wfomc(f, n, options=SolverOptions(method="lineage"))
         assert batch[2] == 161 and batch[3] == 13009
 
     def test_weight_sweep_both_paths_agree(self):
@@ -339,7 +340,7 @@ class TestSolverCaches:
             )
             for w, wq in [(1, 1), (2, 1), (3, 2), (1, -1), (-2, 3)]
         ]
-        direct = [wfomc(f, 2, wv, method="lineage") for wv in sweeps]
+        direct = [wfomc(f, 2, wv, options=SolverOptions(method="lineage")) for wv in sweeps]
         assert wfomc_weight_sweep(f, 2, sweeps, via_polynomial=True) == direct
         assert wfomc_weight_sweep(f, 2, sweeps, via_polynomial=False) == direct
 
@@ -355,7 +356,8 @@ class TestSolverCaches:
         weights = {"R": WeightPair(2, 1), "S": WeightPair(3, 1)}
         rs = Vocabulary([Predicate("R", 1), Predicate("S", 2)])
         sr = Vocabulary([Predicate("S", 2), Predicate("R", 1)])
-        expected = wfomc(f, 2, WeightedVocabulary(rs, weights), method="lineage")
+        expected = wfomc(f, 2, WeightedVocabulary(rs, weights),
+                         options=SolverOptions(method="lineage"))
         for vocab in (rs, sr):
             wv = WeightedVocabulary(vocab, weights)
             assert wfomc_weight_sweep(f, 2, [wv], via_polynomial=True) == [expected]
@@ -365,13 +367,13 @@ class TestSolverCaches:
 
         f = parse("forall x. exists y. (R(x, y) | P(x))")
         before = solver_cache_stats()["fo2_decompositions"]
-        batch = wfomc_batch(f, [1, 2, 3, 4, 5], method="fo2")
+        batch = wfomc_batch(f, [1, 2, 3, 4, 5], options=SolverOptions(method="fo2"))
         after = solver_cache_stats()["fo2_decompositions"]
         # One Scott/Skolem/cell construction serves every domain size.
         assert after["misses"] == before["misses"] + 1
         assert after["hits"] >= before["hits"] + 4
         for n, value in batch.items():
-            assert value == wfomc(f, n, method="lineage")
+            assert value == wfomc(f, n, options=SolverOptions(method="lineage"))
 
     def test_fo2_structure_shared_across_weight_functions(self):
         # The weight-independent cell structure (the exponential cell /
@@ -388,9 +390,8 @@ class TestSolverCaches:
             for w, q in [(1, 1), (2, 1), (3, 2), (1, 3)]
         ]
         for wv in sweeps:
-            assert wfomc(f, 2, wv, method="fo2") == wfomc(
-                f, 2, wv, method="lineage"
-            )
+            assert wfomc(f, 2, wv, options=SolverOptions(method="fo2")) == wfomc(
+                f, 2, wv, options=SolverOptions(method="lineage"))
         stats = solver_cache_stats()
         assert stats["fo2_structures"]["misses"] == 1
         assert stats["fo2_structures"]["hits"] == len(sweeps) - 1
@@ -414,16 +415,16 @@ class TestSolverCaches:
         for first, second in ((plain, clash), (clash, plain)):
             clear_solver_caches()
             for wv in (first, second):
-                assert wfomc(f, 3, wv, method="fo2") == wfomc(
-                    f, 3, wv, method="lineage"
-                )
+                assert wfomc(f, 3, wv, options=SolverOptions(method="fo2")) == wfomc(
+                    f, 3, wv, options=SolverOptions(method="lineage"))
 
     def test_fo2_memoized_recursion_matches_lineage_at_larger_n(self):
         from repro.logic.parser import parse
 
         f = parse("forall x, y. (R(x, y) | S(x, y) | P(x) | Q(y))")
         for n in (3, 4):
-            assert wfomc(f, n, method="fo2") == wfomc(f, n, method="lineage")
+            assert (wfomc(f, n, options=SolverOptions(method="fo2"))
+                    == wfomc(f, n, options=SolverOptions(method="lineage")))
 
     def test_weight_sweep_polynomial_is_cached(self):
         from repro.logic.parser import parse

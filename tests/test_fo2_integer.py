@@ -16,6 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 from repro import Budget, BudgetExceededError, WeightedVocabulary, parse
+from repro.options import SolverOptions
 from repro.utils import weights_signature
 from repro.wfomc import clear_fo2_caches, wfomc_fo2
 from repro.wfomc import fo2
@@ -102,7 +103,7 @@ class TestBudgetAbort:
         wv = _table1_vocabulary(weights)
 
         cold_budget = Budget()
-        cold = wfomc_fo2(TABLE1, self.N, wv, budget=cold_budget)
+        cold = wfomc_fo2(TABLE1, self.N, wv, options=SolverOptions(budget=cold_budget))
         assert cold == table1_wfomc(self.N, weights["R"], weights["S"],
                                     weights["T"])
         clear_fo2_caches()
@@ -114,13 +115,13 @@ class TestBudgetAbort:
         checks_midway = cold_budget.ticks // 2 // 64
         budget = Budget(timeout=checks_midway, clock=lambda: next(reads))
         with pytest.raises(BudgetExceededError):
-            wfomc_fo2(TABLE1, self.N, wv, budget=budget)
+            wfomc_fo2(TABLE1, self.N, wv, options=SolverOptions(budget=budget))
         decomposition, _wv = fo2._DECOMPOSITION_CACHE.get(
             (TABLE1, weights_signature(wv)))
         assert decomposition._recurse_memo, "abort came before the recursion"
 
         retry_budget = Budget()
-        retry = wfomc_fo2(TABLE1, self.N, wv, budget=retry_budget)
+        retry = wfomc_fo2(TABLE1, self.N, wv, options=SolverOptions(budget=retry_budget))
         assert (retry.numerator, retry.denominator) == (
             cold.numerator, cold.denominator)
         assert retry_budget.ticks < cold_budget.ticks

@@ -26,6 +26,7 @@ from repro.cq import (
     gamma_acyclic_probability,
 )
 from repro.mln import mln_probability_bruteforce, mln_probability_wfomc
+from repro.options import SolverOptions
 from repro.transforms import positivize, skolemize, wfomc_without_equality
 from repro.weights import from_probability
 from repro.wfomc.bruteforce import wfomc_lineage
@@ -39,8 +40,8 @@ class TestFiveWayAgreement:
         f = parse("forall x. exists y. R(x, y)")
         n = 2
         values = {
-            "enumerate": wfomc(f, n, method="enumerate"),
-            "lineage": wfomc(f, n, method="lineage"),
+            "enumerate": wfomc(f, n, options=SolverOptions(method="enumerate")),
+            "lineage": wfomc(f, n, options=SolverOptions(method="lineage")),
             "fo2": wfomc_fo2(f, n),
             "rules": lifted_wfomc(f, n),
             "closed": Fraction((2 ** n - 1) ** n),
@@ -53,8 +54,8 @@ class TestFiveWayAgreement:
         f = parse("forall x, y. (R(x) | S(x, y) | T(y))")
         n = 2
         values = {
-            wfomc(f, n, method="enumerate"),
-            wfomc(f, n, method="lineage"),
+            wfomc(f, n, options=SolverOptions(method="enumerate")),
+            wfomc(f, n, options=SolverOptions(method="lineage")),
             wfomc_fo2(f, n),
             lifted_wfomc(f, n),
             Fraction(table1_fomc(n)),
@@ -102,7 +103,7 @@ class TestMLNFullStack:
         n = 2
         exact = mln_probability_bruteforce(mln, query, n)
         via_auto = mln_probability_wfomc(mln, query, n)
-        via_lineage = mln_probability_wfomc(mln, query, n, method="lineage")
+        via_lineage = mln_probability_wfomc(mln, query, n, options=SolverOptions(method="lineage"))
         assert exact == via_auto == via_lineage
 
 
@@ -116,7 +117,7 @@ class TestPaperIdentitiesEndToEnd:
 
         f = parse("forall x. exists y. (M(x, y) & x != y)")
         for n in (1, 2, 3):
-            assert has_model(f, n) == (fomc(f, n, method="lineage") > 0)
+            assert has_model(f, n) == (fomc(f, n, options=SolverOptions(method="lineage")) > 0)
 
     def test_gamma_acyclic_vs_fo2_on_shared_fragment(self):
         # The CQ exists x,y (P(x) & S(x,y) & Q(y)) is both gamma-acyclic

@@ -1,22 +1,47 @@
 """SolverOptions: the one options object behind every entry point.
 
-Pins the API redesign's contract: ``from_kwargs``/``to_kwargs`` round-trip
-exactly (hypothesis-generated options), legacy keyword calls resolve to
-the same object as explicit construction, unknown keywords fail with
-:class:`TypeError` like the old signatures did, and entry points produce
-bit-identical results whichever calling style is used.
+Pins the contract: the dataclass validates, replaces, pickles and
+``repr``-round-trips; ``options=`` is the only way a knob reaches a
+solver, so a knob passed as its own keyword, or anything but ``None`` or
+a :class:`SolverOptions` passed as ``options``, is a :class:`TypeError`
+at every entry point; and no entry point grows a ``**kwargs`` or a
+per-knob parameter again.
 """
 
 import dataclasses
+import inspect
 import pickle
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.asymptotics import mu_n, mu_sequence
+from repro.compile import compile_cnf, compile_formula, compile_lineage, compile_wfomc
 from repro.logic.parser import parse
+from repro.mln import (
+    MLN,
+    mln_average_log_likelihood,
+    mln_likelihood_gradient,
+    mln_probability,
+    mln_probability_wfomc,
+    mln_query_sweep,
+    mln_weight_learn,
+)
+from repro.mln.reduction import MLNReduction, reduce_to_wfomc
 from repro.options import BACKEND_NAMES, BRANCHINGS, METHODS, SolverOptions
+from repro.propositional.cnf import to_cnf
+from repro.propositional.counter import CountingEngine, wmc_cnf, wmc_formula
+from repro.propositional.formula import por, pvar
+from repro.wfomc.bruteforce import fomc_lineage, wfomc_lineage
+from repro.wfomc.fo2 import wfomc_fo2
+from repro.wfomc.solver import (
+    fomc,
+    probability,
+    wfomc,
+    wfomc_batch,
+    wfomc_weight_sweep,
+)
 
 
 def solver_options():
@@ -40,13 +65,8 @@ def solver_options():
 class TestRoundTrip:
     @settings(max_examples=120, deadline=None)
     @given(options=solver_options())
-    def test_to_kwargs_from_kwargs_round_trips(self, options):
-        assert SolverOptions.from_kwargs(None, **options.to_kwargs()) == options
-
-    @settings(max_examples=60, deadline=None)
-    @given(options=solver_options())
-    def test_from_kwargs_passes_instances_through(self, options):
-        assert SolverOptions.from_kwargs(options) is options
+    def test_repr_round_trips(self, options):
+        assert eval(repr(options), {"SolverOptions": SolverOptions}) == options
 
     @settings(max_examples=60, deadline=None)
     @given(options=solver_options())
@@ -61,30 +81,29 @@ class TestRoundTrip:
     def test_pickles_for_worker_payloads(self, options):
         assert pickle.loads(pickle.dumps(options)) == options
 
-    def test_to_kwargs_drops_defaults(self):
-        assert SolverOptions().to_kwargs() == {}
-        assert SolverOptions(workers=2).to_kwargs() == {"workers": 2}
+    def test_repr_drops_defaults(self):
+        assert repr(SolverOptions()) == "SolverOptions()"
+        assert repr(SolverOptions(workers=2)) == "SolverOptions(workers=2)"
 
 
-class TestFromKwargs:
-    def test_method_string_shorthand(self):
-        assert SolverOptions.from_kwargs("fo2") == SolverOptions(method="fo2")
+class TestResolve:
+    def test_none_means_defaults(self):
+        assert SolverOptions.resolve(None) == SolverOptions()
 
-    def test_legacy_kwargs_override_base(self):
-        base = SolverOptions(method="lineage", workers=2)
-        merged = SolverOptions.from_kwargs(base, workers=4, persist=True)
-        assert merged == SolverOptions(method="lineage", workers=4,
-                                       persist=True)
-        # None kwargs mean "keep the base value" (old signature defaults).
-        assert SolverOptions.from_kwargs(base, workers=None) == base
+    @settings(max_examples=60, deadline=None)
+    @given(options=solver_options())
+    def test_passes_instances_through(self, options):
+        assert SolverOptions.resolve(options) is options
 
-    def test_unknown_keyword_is_a_type_error(self):
-        with pytest.raises(TypeError, match="wrokers"):
-            SolverOptions.from_kwargs(None, wrokers=2)
+    def test_method_string_is_a_type_error(self):
+        with pytest.raises(TypeError, match="'fo2'"):
+            SolverOptions.resolve("fo2")
 
     def test_bad_options_value_is_a_type_error(self):
         with pytest.raises(TypeError):
-            SolverOptions.from_kwargs(42)
+            SolverOptions.resolve(42)
+        with pytest.raises(TypeError):
+            SolverOptions.resolve({"method": "fo2"})
 
 
 class TestValidation:
@@ -111,37 +130,78 @@ class TestValidation:
         assert SolverOptions(backend="exact").compiled
 
 
-class TestEntryPointEquivalence:
-    """Legacy keyword calls and options= calls are bit-identical."""
+# -- the one-way-to-pass-a-knob contract ---------------------------------------
 
-    SENTENCE = "forall x, y. (R(x) | S(x, y))"
+SENTENCE = parse("exists x. P(x)")
+MLN_MODEL = MLN([(2, parse("P(x)"))])
+PROP = por(pvar("a"), pvar("b"))
 
-    def test_wfomc_both_styles_agree(self):
-        from repro.wfomc.solver import wfomc
+#: Every function that takes solver knobs, paired with a call of it on
+#: valid arguments, the given ``options`` value and any extra keywords.
+KNOB_TAKERS = [
+    (wfomc, lambda o, **kw: wfomc(SENTENCE, 2, options=o, **kw)),
+    (fomc, lambda o, **kw: fomc(SENTENCE, 2, options=o, **kw)),
+    (probability, lambda o, **kw: probability(SENTENCE, 2, options=o, **kw)),
+    (wfomc_batch,
+     lambda o, **kw: wfomc_batch(SENTENCE, [1, 2], options=o, **kw)),
+    (wfomc_weight_sweep,
+     lambda o, **kw: wfomc_weight_sweep(SENTENCE, 2, [], options=o, **kw)),
+    (wfomc_lineage,
+     lambda o, **kw: wfomc_lineage(SENTENCE, 2, options=o, **kw)),
+    (fomc_lineage, lambda o, **kw: fomc_lineage(SENTENCE, 2, options=o, **kw)),
+    (wmc_cnf, lambda o, **kw: wmc_cnf(to_cnf(PROP), lambda _l: (1, 1),
+                                      options=o, **kw)),
+    (wmc_formula, lambda o, **kw: wmc_formula(PROP, lambda _l: (1, 1),
+                                              options=o, **kw)),
+    (MLNReduction.probability,
+     lambda o, **kw: reduce_to_wfomc(MLN_MODEL).probability(
+         SENTENCE, 2, options=o, **kw)),
+    (mln_probability_wfomc, lambda o, **kw: mln_probability_wfomc(
+        MLN_MODEL, SENTENCE, 2, options=o, **kw)),
+    (mln_probability, lambda o, **kw: mln_probability(
+        MLN_MODEL, SENTENCE, 2, options=o, **kw)),
+    (mln_query_sweep, lambda o, **kw: mln_query_sweep(
+        [MLN_MODEL], SENTENCE, 2, options=o, **kw)),
+    (mln_likelihood_gradient, lambda o, **kw: mln_likelihood_gradient(
+        MLN_MODEL, [], 2, options=o, **kw)),
+    (mln_average_log_likelihood, lambda o, **kw: mln_average_log_likelihood(
+        MLN_MODEL, [], 2, options=o, **kw)),
+    (mln_weight_learn, lambda o, **kw: mln_weight_learn(
+        MLN_MODEL, [], 2, options=o, **kw)),
+    (wfomc_fo2, lambda o, **kw: wfomc_fo2(SENTENCE, 2, options=o, **kw)),
+    (compile_wfomc,
+     lambda o, **kw: compile_wfomc(SENTENCE, 2, options=o, **kw)),
+    (compile_lineage,
+     lambda o, **kw: compile_lineage(SENTENCE, 2, options=o, **kw)),
+    (compile_formula, lambda o, **kw: compile_formula(PROP, options=o, **kw)),
+    (compile_cnf, lambda o, **kw: compile_cnf(to_cnf(PROP), options=o, **kw)),
+    (mu_n, lambda o, **kw: mu_n(SENTENCE, 2, options=o, **kw)),
+    (mu_sequence,
+     lambda o, **kw: mu_sequence(SENTENCE, [1, 2], options=o, **kw)),
+    (CountingEngine.__init__,
+     lambda o, **kw: CountingEngine({}, {}, options=o, **kw)),
+]
+CALLS = [call for _fn, call in KNOB_TAKERS]
+IDS = [fn.__qualname__ for fn, _call in KNOB_TAKERS]
 
-        f = parse(self.SENTENCE)
-        legacy = wfomc(f, 3, method="lineage")
-        modern = wfomc(f, 3, options=SolverOptions(method="lineage"))
-        positional_method = wfomc(f, 3, None, "lineage")
-        assert legacy == modern == positional_method
+FIELD_NAMES = {f.name for f in dataclasses.fields(SolverOptions)}
 
-    def test_mln_both_styles_agree(self):
-        from repro.mln import MLN, mln_probability
 
-        mln = MLN([(Fraction(3), parse("R(x)"))])
-        query = parse("exists x. R(x)")
-        legacy = mln_probability(mln, query, 2, method="lineage")
-        modern = mln_probability(
-            mln, query, 2, options=SolverOptions(method="lineage"))
-        assert legacy == modern
+class TestOneWayToPassAKnob:
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_former_knob_keyword_is_a_type_error(self, call):
+        with pytest.raises(TypeError):
+            call(None, method="lineage")
 
-    def test_wmc_both_styles_agree(self):
-        from repro.propositional.counter import wmc_formula
-        from repro.propositional.formula import por, pvar
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_method_string_as_options_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match="SolverOptions"):
+            call("lineage")
 
-        formula = por(pvar("a"), pvar("b"))
-        weight = lambda v: (Fraction(1, 2), Fraction(1, 3))  # noqa: E731
-        legacy = wmc_formula(formula, weight, branching="moms")
-        modern = wmc_formula(
-            formula, weight, options=SolverOptions(branching="moms"))
-        assert legacy == modern
+    @pytest.mark.parametrize("fn", [fn for fn, _call in KNOB_TAKERS], ids=IDS)
+    def test_no_kwargs_spread_and_no_per_knob_parameter(self, fn):
+        params = inspect.signature(fn).parameters.values()
+        assert not [p.name for p in params
+                    if p.kind is inspect.Parameter.VAR_KEYWORD]
+        assert "options" in [p.name for p in params]
+        assert not [p.name for p in params if p.name in FIELD_NAMES]

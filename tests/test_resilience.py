@@ -16,6 +16,7 @@ import pytest
 
 from repro import Budget, BudgetExceededError, FaultPlan, FaultPlanError
 from repro.cli import main
+from repro.options import SolverOptions
 from repro.propositional.cnf import CNF
 from repro.propositional.counter import (
     EngineStats,
@@ -152,7 +153,7 @@ class TestBudgetOnEngine:
                  for v in range(1, 9)}
         return wmc_cnf(cnf, pairs.__getitem__,
                        engine_cache={} if cache is None else cache,
-                       stats=stats or EngineStats(), budget=budget)
+                       stats=stats or EngineStats(), options=SolverOptions(budget=budget))
 
     def test_max_decisions_trips_with_partial_stats(self):
         budget = Budget(max_decisions=1, clock=FakeClock())
@@ -231,13 +232,13 @@ class TestBudgetOnEngine:
 
         formula = parse("forall x, y. (R(x) | S(x, y) | T(y))")
         cold()
-        reference = wfomc(formula, 3, method="lineage")
+        reference = wfomc(formula, 3, options=SolverOptions(method="lineage"))
         cold()
         with pytest.raises(BudgetExceededError):
-            wfomc(formula, 3, method="lineage", budget=Budget(timeout=0))
+            wfomc(formula, 3, options=SolverOptions(method="lineage", budget=Budget(timeout=0)))
         # The in-memory caches only ever hold completed values, so the
         # retry (same process, fresh budget) completes bit-identically.
-        assert wfomc(formula, 3, method="lineage") == reference
+        assert wfomc(formula, 3, options=SolverOptions(method="lineage")) == reference
 
 
 class TestWorkerSupervision:
@@ -259,7 +260,7 @@ class TestWorkerSupervision:
             cnf, pairs = _multi_component_cnf()
             stats = EngineStats()
             value = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
-                            stats=stats, workers=2)
+                            stats=stats, options=SolverOptions(workers=2))
             assert value == self._serial()
             assert stats.worker_retries == 1
             assert stats.degraded_to_serial == 0
@@ -278,7 +279,7 @@ class TestWorkerSupervision:
             cnf, pairs = _multi_component_cnf()
             stats = EngineStats()
             value = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
-                            stats=stats, workers=2)
+                            stats=stats, options=SolverOptions(workers=2))
             assert value == self._serial()
             assert stats.worker_retries == 1
             assert stats.degraded_to_serial >= 1
@@ -303,7 +304,7 @@ class TestWorkerSupervision:
         cnf, pairs = _multi_component_cnf()
         stats = EngineStats()
         value = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
-                        stats=stats, workers=2)
+                        stats=stats, options=SolverOptions(workers=2))
         assert value == self._serial()
         assert stats.degraded_to_serial >= 1
         assert stats.worker_retries == 0
@@ -395,8 +396,9 @@ class TestStoreFaults:
                             engine_cache={}, stats=EngineStats())
         install_plan("store_busy~1")
         value = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
-                        stats=EngineStats(), persist=True,
-                        cache_dir=str(tmp_path / "flaky"))
+                        stats=EngineStats(),
+                        options=SolverOptions(
+                            persist=True, cache_dir=str(tmp_path / "flaky")))
         assert value == reference
 
 

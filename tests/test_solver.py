@@ -7,6 +7,7 @@ import pytest
 from repro import fomc, parse, probability, wfomc
 from repro.errors import UnsupportedFormulaError
 from repro.logic.vocabulary import WeightedVocabulary
+from repro.options import SolverOptions
 
 
 class TestRouting:
@@ -23,11 +24,11 @@ class TestRouting:
     def test_method_pinning(self):
         f = parse("forall x. exists y. R(x, y)")
         for method in ("fo2", "lineage", "enumerate"):
-            assert wfomc(f, 2, method=method) == 9
+            assert wfomc(f, 2, options=SolverOptions(method=method)) == 9
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            wfomc(parse("exists x. P(x)"), 2, method="magic")
+            wfomc(parse("exists x. P(x)"), 2, options=SolverOptions(method="magic"))
 
     def test_fomc_returns_int(self):
         result = fomc(parse("exists x. P(x)"), 3)
@@ -73,7 +74,7 @@ class TestCrossMethodAgreement:
         f = parse(text)
         for n in (1, 2):
             results = {
-                method: wfomc(f, n, method=method)
+                method: wfomc(f, n, options=SolverOptions(method=method))
                 for method in ("fo2", "lineage", "enumerate")
             }
             assert len(set(results.values())) == 1, results

@@ -1,8 +1,11 @@
 """Tests for spectrum membership (the associated decision problem)."""
 
+import sys
 
+from repro.cli import main
 from repro.complexity.spectrum import has_model, in_spectrum, spectrum
 from repro.logic.parser import parse
+from repro.options import SolverOptions
 
 
 class TestHasModel:
@@ -40,4 +43,35 @@ class TestHasModel:
 
         f = parse("forall x. exists y. (R(x, y) & x != y)")
         for n in (1, 2, 3):
-            assert has_model(f, n) == (fomc(f, n, method="lineage") > 0)
+            count = fomc(f, n, options=SolverOptions(method="lineage"))
+            assert has_model(f, n) == (count > 0)
+
+
+class TestDeepSearch:
+    """The SAT search keeps no Python frame per pure literal or decision."""
+
+    WIDE = "forall x. forall y. (E(x,y) | F(x,y))"
+
+    def test_thousands_of_pure_literals(self):
+        # 3,200 ground atoms, every literal pure: one step assigns them.
+        assert has_model(parse(self.WIDE), 40)
+
+    def test_spectrum_command_on_wide_sentence(self, capsys):
+        assert main(["spectrum", self.WIDE, "40"]) == 0
+        assert capsys.readouterr().out.split() == [str(n)
+                                                   for n in range(1, 41)]
+
+    def test_hundreds_of_decisions_under_a_low_recursion_limit(self):
+        # P(i) xor Q(i): no pure literal and nothing propagates until a
+        # decision, so the search decides once per domain element.
+        from repro.grounding.lineage import lineage
+        from repro.propositional.counter import satisfiable
+
+        ground = lineage(parse("forall x. ((P(x) | Q(x)) & (~P(x) | ~Q(x)))"),
+                         300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            assert satisfiable(ground)
+        finally:
+            sys.setrecursionlimit(limit)

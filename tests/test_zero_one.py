@@ -12,6 +12,7 @@ from repro.asymptotics import (
 )
 from repro.logic.parser import parse
 from repro.logic.syntax import num_variables
+from repro.options import SolverOptions
 from repro.wfomc.bruteforce import fomc_lineage
 
 
@@ -34,7 +35,7 @@ class TestMuN:
 
     def test_existential_converges_to_one(self):
         f = parse("exists x. P(x)")
-        seq = mu_sequence(f, (1, 3, 6), method="lineage")
+        seq = mu_sequence(f, (1, 3, 6), options=SolverOptions(method="lineage"))
         assert seq == [1 - Fraction(1, 2) ** n for n in (1, 3, 6)]
 
     def test_tautology(self):
@@ -57,7 +58,7 @@ class TestExtensionAxioms:
         f = extension_axiom(2)
         # Check against direct lineage counting for n = 2: every pair of
         # distinct x1,x2 needs a common E-neighbor.
-        assert mu_n(f, 2, method="lineage") == Fraction(
+        assert mu_n(f, 2, options=SolverOptions(method="lineage")) == Fraction(
             fomc_lineage(f, 2), 2 ** 4
         )
 
@@ -67,7 +68,7 @@ class TestExtensionAxioms:
         f = extension_axiom(2)
         # n = 2: one unordered pair needs a common E-neighbor among two
         # columns: mu = 1 - (3/4)^2.
-        assert mu_n(f, 2, method="lineage") == 1 - Fraction(3, 4) ** 2
+        assert mu_n(f, 2, options=SolverOptions(method="lineage")) == 1 - Fraction(3, 4) ** 2
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
