@@ -284,8 +284,8 @@ def _measure_theta1_ablation():
 
     ``test_theta1_identity_n3`` is the default engine (CDCL + EVSIDS; the
     key name matches the v1/v2 baselines so speedups chain across
-    engine generations); ``theta1_identity_n3_moms`` is the learning-free
-    MOMS engine the CDCL rebuild replaced.
+    engine generations); ``theta1_identity_n3_moms`` is the same search
+    with clause learning off (``learn=False``, so decisions follow MOMS).
     """
     from repro.options import SolverOptions
 

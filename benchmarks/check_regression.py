@@ -10,10 +10,12 @@ enumeration_mean`` cancels machine speed and isolates how the engine
 performs relative to straight-line Python.  A normalized ratio more than
 ``--tolerance`` (default 25%) above the committed ratio fails the run.
 
-The Theta_1 instance also gates the *heuristic ablation*: the default
-CDCL+EVSIDS engine must stay faster than the learning-free MOMS engine
-by at least ``--ablation-floor`` (default 2x), so a regression in the
-learned-clause or branching machinery cannot hide behind a fast runner.
+The Theta_1 instance also gates the *learning ablation*: the default
+CDCL+EVSIDS engine must stay faster than the same search with clause
+learning off (``learn=False``) by at least ``--ablation-floor`` (default
+2x), so a regression in the learned-clause or branching machinery cannot
+hide behind a fast runner.  Both sides run the one counting search, and
+the gate prints both means next to the ratio.
 
 The *persistent-cache* gate runs the Theta_1 weight sweep twice in
 separate subprocesses sharing one on-disk store (serial and
@@ -71,8 +73,8 @@ import sys
 #: lookups and would hide a slowdown in propagation/learning/branching).
 GATED = ("cold_engine_n2", "cold_engine_n3", "test_theta1_identity_n3")
 NORMALIZER = "test_enumeration_baseline"
-#: The default engine must beat the MOMS ablation by at least this factor
-#: on the branching-bound Theta_1 instance.
+#: The default engine must beat the same search with clause learning off
+#: by at least this factor on the branching-bound Theta_1 instance.
 ABLATION = ("test_theta1_identity_n3", "theta1_identity_n3_moms")
 
 
@@ -118,8 +120,10 @@ def check(baseline_path, tolerance, ablation_floor):
         speedup = current[moms_name] / current[cdcl_name]
         status = "FAIL" if speedup < ablation_floor else "ok"
         print(
-            "{:32s} cdcl/evsids vs moms speedup {:.2f}x  (floor {:.1f}x)  [{}]".format(
-                "theta1_cdcl_vs_moms", speedup, ablation_floor, status
+            "{:32s} default {:.4f}s  learn=False {:.4f}s  speedup {:.2f}x  "
+            "(floor {:.1f}x)  [{}]".format(
+                "theta1_cdcl_vs_moms", current[cdcl_name], current[moms_name],
+                speedup, ablation_floor, status
             )
         )
         if speedup < ablation_floor:
@@ -410,8 +414,8 @@ def main():
     )
     parser.add_argument(
         "--ablation-floor", type=float, default=2.0,
-        help="minimum theta1 speedup of the default engine over the MOMS "
-             "ablation (default 2.0)",
+        help="minimum theta1 speedup of the default engine over the same "
+             "search with clause learning off (default 2.0)",
     )
     parser.add_argument(
         "--persist-floor", type=float, default=2.0,

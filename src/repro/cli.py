@@ -28,8 +28,8 @@ disk store under ``--cache-dir`` (default ``$REPRO_CACHE_DIR`` or
 ``~/.cache/repro``), so a repeated run — even in a new process — is
 served from disk.  The grounded counting engine's conflict-driven
 search is configurable: ``--branching {evsids,moms}`` picks the
-decision heuristic, ``--no-learn`` disables clause learning (the
-pre-CDCL engine), ``--max-learned N`` bounds the learned-clause
+decision heuristic, ``--no-learn`` turns clause learning off in the
+same search, ``--max-learned N`` bounds the learned-clause
 database, ``--no-phase-saving`` disables backjump polarity memory, and
 ``--restarts N`` enables Luby restarts with unit N conflicts.
 None of these change the counted value.  ``--backend
@@ -165,8 +165,9 @@ def build_parser():
         p.add_argument(
             "--no-learn",
             action="store_true",
-            help="disable conflict-driven clause learning (use the "
-                 "learning-free MOMS engine; the count is identical)",
+            help="turn clause learning off in the same search (a "
+                 "conflict only closes its branch; the count is "
+                 "identical)",
         )
         p.add_argument(
             "--max-learned",

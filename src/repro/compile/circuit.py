@@ -460,10 +460,6 @@ class Circuit:
         return get_backend(backend).evaluate_many(
             self, [_pair_lookup(w) for w in weight_list], store=store)
 
-    def evaluate_batch(self, weight_list):
-        """Deprecated alias of :meth:`evaluate_many` (exact backend)."""
-        return self.evaluate_many(weight_list)
-
     def gradient(self, weights):
         """``(value, grads)`` with ``grads[key] == (d/dw, d/dwbar)``.
 

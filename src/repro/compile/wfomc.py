@@ -147,10 +147,6 @@ class CompiledWFOMC:
             return get_backend(backend).evaluate_many(self.circuit, pair_fns,
                                                       store=store)
 
-    def evaluate_batch(self, weight_vocabularies):
-        """Deprecated alias of :meth:`evaluate_many` (exact backend)."""
-        return self.evaluate_many(weight_vocabularies)
-
     def gradient(self, weighted_vocabulary):
         """``(value, {pred: (d/dw, d/dwbar)})`` at the given weights.
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import logging
-import time
 import uuid
 
 __all__ = [
@@ -106,7 +105,3 @@ def new_request_id():
     """A fresh 16-hex-char request id (collision odds are cosmological)."""
     return uuid.uuid4().hex[:16]
 
-
-def monotonic_ms():
-    """Monotonic milliseconds — the daemon's latency arithmetic unit."""
-    return time.monotonic() * 1000.0

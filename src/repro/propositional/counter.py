@@ -9,23 +9,27 @@ sharpSAT/Cachet-style conflict-driven counting search:
   visits the clauses watching its negation — never the whole clause list.
   Clause state is lazy: satisfied clauses are discovered at residual
   extraction time, not eagerly during propagation;
-* **conflict-driven clause learning** (the default, ``learn=True``): each
-  component is counted by an iterative search over one persistent trail
-  (decision levels, antecedent clause per implied literal).  On conflict
-  the engine derives a 1-UIP learned clause from the implication graph,
-  adds it to a *side* database consulted during propagation only — learned
-  clauses never enter residual extraction, component splitting, or cache
-  keys, the standard sound scheme for #SAT — and backjumps to the
-  asserting level, re-propagating the asserting literal there and
-  recomputing the abandoned levels through the component cache.  The
-  database is bounded: when it exceeds ``max_learned`` clauses, the
-  highest-LBD half is dropped (glue and reason-locked clauses are kept);
+* **one counting search**: each component is counted by an iterative
+  search over one persistent trail (decision levels, antecedent clause
+  per implied literal);
+* **conflict-driven clause learning** (the default, ``learn=True``): on
+  conflict the engine derives a 1-UIP learned clause from the
+  implication graph, adds it to a *side* database consulted during
+  propagation only — learned clauses never enter residual extraction,
+  component splitting, or cache keys, the standard sound scheme for
+  #SAT — and backjumps to the asserting level, re-propagating the
+  asserting literal there and recomputing the abandoned levels through
+  the component cache.  The database is bounded: when it exceeds
+  ``max_learned`` clauses, the highest-LBD half is dropped (glue and
+  reason-locked clauses are kept);
 * **EVSIDS branching** (``branching="evsids"``, the default): decision
   variables maximize an exponentially-decayed activity score bumped on
   every variable resolved during conflict analysis, warm-started with
   occurrence counts.  ``branching="moms"`` keeps the classic
   most-occurrences-in-minimum-size-clauses heuristic for ablation, and
-  ``learn=False`` restores the learning-free engine;
+  ``learn=False`` turns learning off in the same search: a conflict
+  closes its branch with value 0 and nothing else happens (no analysis,
+  backjump or restart, so activity stays off and decisions follow MOMS);
 * one **fused residual pass** per search node: extracting the residual
   formula, splitting it into variable-connected components (union-find),
   and collecting the surviving variables all happen in a single scan.
@@ -70,8 +74,9 @@ sharpSAT/Cachet-style conflict-driven counting search:
   partial sums are recomputed through the component cache, so no branch
   is skipped and the counted value is bit-identical with restarts on or
   off;
-* a **trace mode** (:func:`trace_cnf_clauses`): the same search replayed
-  symbolically, recording decompositions as arithmetic-circuit nodes for
+* a **trace mode** (:func:`trace_cnf_clauses`): a learning-free MOMS
+  search over the same root reduction and propagation core, recording
+  decompositions as arithmetic-circuit nodes for
   the knowledge-compilation subsystem (:mod:`repro.compile`) instead of
   multiplying weights.  Component conjunctions become x-nodes, decision
   splits smoothed +-nodes, literals weight leaves; canonical components
@@ -107,6 +112,7 @@ import os
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 from ..errors import BudgetExceededError
@@ -132,8 +138,8 @@ __all__ = [
     "satisfiable",
 ]
 
-#: Ceiling for the temporary recursion-limit raise in
-#: :meth:`CountingEngine.run`; ~50k Python frames fit comfortably in the
+#: Ceiling for the temporary recursion-limit raise of
+#: :func:`_recursion_headroom`; ~50k Python frames fit comfortably in the
 #: default 8 MB C stack, far past any instance the engine can finish.
 MAX_RECURSION_LIMIT = 50_000
 
@@ -346,34 +352,109 @@ def _exact(value):
     return frac.numerator if frac.denominator == 1 else frac
 
 
+@contextmanager
+def _recursion_headroom(n_vars):
+    """Raise the interpreter recursion limit for a search over ``n_vars``
+    variables, and restore it afterwards.
+
+    Deep instances recurse one frame set per decision level; the limit
+    grows proportionally but keeps a hard cap, so a pathological instance
+    raises RecursionError instead of overflowing the C stack.
+    """
+    limit = sys.getrecursionlimit()
+    needed = min(12 * n_vars + 1000, MAX_RECURSION_LIMIT)
+    if limit < needed:
+        sys.setrecursionlimit(needed)
+    try:
+        yield
+    finally:
+        if limit < needed:
+            sys.setrecursionlimit(limit)
+
+
+def _normalize(clauses, trusted):
+    """The clause tuple a search runs on, ``None`` if a clause is empty.
+
+    ``trusted`` skips per-clause literal deduplication for callers whose
+    clauses are already duplicate-free tuples with at least one literal.
+    """
+    if trusted:
+        return clauses if isinstance(clauses, tuple) else tuple(clauses)
+    normalized = []
+    for c in clauses:
+        c = tuple(dict.fromkeys(c))  # drop duplicate literals
+        if not c:
+            return None
+        normalized.append(c)
+    return tuple(normalized)
+
+
 # -- watched-literal propagation core ---------------------------------------
 #
-# The propagation state of one search node is four plain containers kept in
-# locals for speed:
+# The propagation state of a search is a handful of plain containers kept
+# in locals for speed:
 #
-#   clause_lits  list of clause tuples (>= 2 distinct literals each)
-#   watches      dict literal -> list of clause indices watching it
-#   watch_pair   list of 2-element lists: the literals clause ci watches
-#   assign       dict var -> bool (the trail records insertion order)
+#   clauses     list of clause tuples (>= 2 distinct literals each); the
+#               counting search appends learned clauses after the first
+#               ``n_orig``
+#   watches     dict literal -> list of clause indices watching it
+#   watch_pair  list of 2-element lists: the literals clause ci watches
+#   assign      var -> bool            vlevel  var -> decision level
+#   reason      var -> clause index (None for decisions and root units)
+#   trail       assignment order (vars)
 #
 # Watch lists tolerate stale entries (a clause that moved a watch away is
 # lazily dropped the next time the old list is scanned), which lets the two
 # branch polarities share one watch structure without undo bookkeeping: the
 # watched-literal invariant only requires watched literals to be non-false,
-# and between polarities the assignment is reset to empty.
+# and between polarities the assignment is undone.
 
 
-def _propagate(clause_lits, watches, watch_pair, assign, trail, queue, stats):
-    """Propagate ``queue`` to fixpoint.  Returns ``False`` on conflict.
+def _watch_lists(clauses):
+    """Watch the first two literals of every clause that has two.
 
-    Every assignment visits only the watchers of the falsified literal;
-    no clause list is ever rescanned.
+    Returns ``(watched, watches, watch_pair, units)``: the watched
+    clauses (a clause's index there is its watch-list entry), the watch
+    lists, each clause's watched pair, and the unit clauses as a
+    propagation queue of ``(literal, None)`` pairs.
+    """
+    watched = []
+    watches = {}
+    watch_pair = []
+    units = []
+    watches_setdefault = watches.setdefault
+    for c in clauses:
+        if len(c) == 1:
+            units.append((c[0], None))
+            continue
+        ci = len(watched)
+        watched.append(c)
+        watch_pair.append([c[0], c[1]])
+        watches_setdefault(c[0], []).append(ci)
+        watches_setdefault(c[1], []).append(ci)
+    return watched, watches, watch_pair, units
+
+
+def _propagate(clauses, watches, watch_pair, assign, vlevel, reason, trail,
+               queue, level, allowed, n_orig, stats):
+    """Propagate ``queue`` (literal, antecedent) pairs to fixpoint.
+
+    Records the decision level and antecedent clause of every assignment,
+    so a conflict can be analyzed.  Returns the index of a falsified
+    clause, or ``-1`` when propagation completes without conflict.  Every
+    visit touches only the watchers of the falsified literal; no clause
+    list is ever rescanned.  Learned clauses (indices ``>= n_orig``) may
+    only imply variables in ``allowed``.
+
+    Two contradicting root units have no falsified clause: the queued
+    antecedent ``None`` is returned, so callers that queue units test
+    for a conflict with ``!= -1``.
     """
     propagations = 0
     moves = 0
     qi = 0
     while qi < len(queue):
-        lit = queue[qi]
+        lit, why = queue[qi]
         qi += 1
         if lit > 0:
             var, want = lit, True
@@ -382,11 +463,17 @@ def _propagate(clause_lits, watches, watch_pair, assign, trail, queue, stats):
         current = assign.get(var)
         if current is not None:
             if current is not want:
+                # ``why`` forced ``lit`` while ``var`` holds the opposite
+                # value, so ``why`` is falsified (decisions and asserting
+                # literals always target unassigned variables; only a
+                # root unit arrives here with ``why`` None).
                 stats.propagations += propagations
                 stats.watch_moves += moves
-                return False
+                return why
             continue
         assign[var] = want
+        vlevel[var] = level
+        reason[var] = why
         trail.append(var)
         propagations += 1
         false_lit = -lit
@@ -394,7 +481,7 @@ def _propagate(clause_lits, watches, watch_pair, assign, trail, queue, stats):
         if not watchlist:
             continue
         keep = []
-        conflict = False
+        conflict = -1
         for idx, ci in enumerate(watchlist):
             pair = watch_pair[ci]
             first, second = pair
@@ -413,7 +500,7 @@ def _propagate(clause_lits, watches, watch_pair, assign, trail, queue, stats):
                 keep.append(ci)  # clause satisfied; leave the watch put
                 continue
             moved = False
-            for l in clause_lits[ci]:
+            for l in clauses[ci]:
                 if l == other or l == false_lit:
                     continue
                 v = l if l > 0 else -l
@@ -433,21 +520,25 @@ def _propagate(clause_lits, watches, watch_pair, assign, trail, queue, stats):
                 continue
             keep.append(ci)
             if other_value is None:
-                queue.append(other)  # unit: the other watch is forced
+                if ci >= n_orig and other_var not in allowed:
+                    # A learned clause implying a variable outside the
+                    # current component: blocked (see module docstring).
+                    continue
+                queue.append((other, ci))
             else:
-                conflict = True  # other watch false, no replacement
+                conflict = ci  # other watch false, no replacement
                 break
-        if conflict:
+        if conflict >= 0:
             # Preserve the unprocessed tail so the watch lists stay
             # consistent for the sibling polarity (ci itself is in keep).
             watches[false_lit] = keep + watchlist[idx + 1:]
             stats.propagations += propagations
             stats.watch_moves += moves
-            return False
+            return conflict
         watches[false_lit] = keep
     stats.propagations += propagations
     stats.watch_moves += moves
-    return True
+    return -1
 
 
 def _find(parent, x):
@@ -580,113 +671,11 @@ def _moms_var(component):
 
 # -- conflict-driven search core ---------------------------------------------
 #
-# The CDCL search keeps one persistent trail per component search:
-#
-#   assign   var -> bool            vlevel  var -> decision level
-#   reason   var -> clause index (None for decisions and level-0 units)
-#   trail    assignment order (vars)
-#
-# ``clauses`` holds the component's clauses followed by learned clauses
-# (indices >= n_orig).  Learned clauses participate in propagation only;
-# implications of variables outside ``allowed`` (the current component of
-# the counting recursion) are blocked, which is what keeps learning sound
-# under component caching.
-
-
-def _propagate_trail(clauses, watches, watch_pair, assign, vlevel, reason,
-                     trail, queue, level, allowed, n_orig, stats):
-    """Propagate ``queue`` (literal, antecedent) pairs to fixpoint.
-
-    Records the decision level and antecedent clause of every assignment,
-    so a conflict can be analyzed.  Returns the index of a falsified
-    clause, or ``-1`` when propagation completes without conflict.
-    """
-    propagations = 0
-    moves = 0
-    qi = 0
-    while qi < len(queue):
-        lit, why = queue[qi]
-        qi += 1
-        if lit > 0:
-            var, want = lit, True
-        else:
-            var, want = -lit, False
-        current = assign.get(var)
-        if current is not None:
-            if current is not want:
-                # ``why`` forced ``lit`` while ``var`` holds the opposite
-                # value, so ``why`` is falsified (decisions and asserting
-                # literals always target unassigned variables).
-                stats.propagations += propagations
-                stats.watch_moves += moves
-                return why
-            continue
-        assign[var] = want
-        vlevel[var] = level
-        reason[var] = why
-        trail.append(var)
-        propagations += 1
-        false_lit = -lit
-        watchlist = watches.get(false_lit)
-        if not watchlist:
-            continue
-        keep = []
-        conflict = -1
-        for idx, ci in enumerate(watchlist):
-            pair = watch_pair[ci]
-            first, second = pair
-            if first == false_lit:
-                other = second
-            elif second == false_lit:
-                other = first
-            else:
-                continue  # stale entry: the clause moved this watch away
-            if other > 0:
-                other_var, other_want = other, True
-            else:
-                other_var, other_want = -other, False
-            other_value = assign.get(other_var)
-            if other_value is other_want:
-                keep.append(ci)  # clause satisfied; leave the watch put
-                continue
-            moved = False
-            for l in clauses[ci]:
-                if l == other or l == false_lit:
-                    continue
-                v = l if l > 0 else -l
-                value = assign.get(v)
-                if value is None or value is (l > 0):
-                    pair[0] = other
-                    pair[1] = l
-                    target = watches.get(l)
-                    if target is None:
-                        watches[l] = [ci]
-                    else:
-                        target.append(ci)
-                    moved = True
-                    moves += 1
-                    break
-            if moved:
-                continue
-            keep.append(ci)
-            if other_value is None:
-                if ci >= n_orig and other_var not in allowed:
-                    # A learned clause implying a variable outside the
-                    # current component: blocked (see module docstring).
-                    continue
-                queue.append((other, ci))
-            else:
-                conflict = ci  # other watch false, no replacement
-                break
-        if conflict >= 0:
-            watches[false_lit] = keep + watchlist[idx + 1:]
-            stats.propagations += propagations
-            stats.watch_moves += moves
-            return conflict
-        watches[false_lit] = keep
-    stats.propagations += propagations
-    stats.watch_moves += moves
-    return -1
+# The counting search keeps one persistent trail per component search (the
+# propagation containers above).  Learned clauses participate in
+# propagation only; implications of variables outside ``allowed`` (the
+# current component of the counting recursion) are blocked, which is what
+# keeps learning sound under component caching.
 
 
 def _analyze_conflict(clauses, conflict, assign, vlevel, reason, trail, level):
@@ -820,6 +809,39 @@ def _canonical_entry(component, key_cache, stats):
     return entry
 
 
+def _reduce_root(clauses, key_cache, stats):
+    """The root node of a search: unit-propagate, then split.
+
+    Returns ``None`` when the root units conflict, otherwise ``(assign,
+    trail, vanished, components)``: the propagated root assignment and
+    its order, the variables that left the residual without being
+    assigned (each contributes its full mass), and the residual's
+    variable-connected components.  A unit-free root propagates nothing
+    and loses no variable, so it is exactly its component split —
+    memoized on the frozen clause tuple (tagged so it shares the key
+    cache), which makes a repeated run a handful of dict hits.
+    """
+    if not any(len(c) == 1 for c in clauses):
+        memo_key = ("split", clauses)
+        components = key_cache.get(memo_key)
+        if components is None:
+            components, _residual_vars = _residual_components(clauses, {})
+            if len(key_cache) >= MAX_KEY_CACHE_ENTRIES:
+                key_cache.clear()
+            key_cache[memo_key] = components
+        return {}, [], (), components
+    watched, watches, watch_pair, queue = _watch_lists(clauses)
+    assign = {}
+    trail = []
+    if _propagate(watched, watches, watch_pair, assign, {}, {}, trail, queue,
+                  0, None, len(watched), stats) != -1:
+        return None
+    components, residual_vars = _residual_components(watched, assign)
+    vanished = [v for v in _clause_vars(clauses)
+                if v not in assign and v not in residual_vars]
+    return assign, trail, vanished, components
+
+
 class CountingEngine:
     """Exact WMC over integer-variable clauses with component caching.
 
@@ -833,10 +855,12 @@ class CountingEngine:
     components; with ``persist``, ``cache_dir`` must name the resolved
     store directory the workers should share (see :func:`wmc_cnf`).
 
-    ``learn`` (default ``True``) selects the conflict-driven search with
-    1-UIP clause learning; ``False`` restores the learning-free MOMS
-    engine.  ``branching`` picks the decision heuristic of the learning
-    search: ``"evsids"`` (default) or ``"moms"`` for ablation.
+    ``learn`` (default ``True``) turns 1-UIP clause learning on in the
+    counting search; ``False`` turns learning off in the same search, so
+    a conflict only closes its branch (no learned clause, backjump or
+    restart, and decisions follow MOMS).  ``branching`` picks the
+    decision heuristic of the learning search: ``"evsids"`` (default) or
+    ``"moms"`` for ablation.
     ``max_learned`` bounds the learned-clause database of one component
     search before an LBD-based reduction drops the worst half.
     ``phase_saving`` (default on) branches each decision into the
@@ -911,28 +935,14 @@ class CountingEngine:
         tuples with at least one literal each.
         """
         self.stats.calls += 1
-        if trusted:
-            normalized = clauses if isinstance(clauses, tuple) else tuple(clauses)
-        else:
-            normalized = []
-            for c in clauses:
-                c = tuple(dict.fromkeys(c))  # drop duplicate literals
-                if not c:
-                    return Fraction(0)
-                normalized.append(c)
-            normalized = tuple(normalized)
+        normalized = _normalize(clauses, trusted)
+        if normalized is None:
+            return Fraction(0)
         if not normalized:
             return Fraction(1)
-        # Deep instances recurse one frame set per decision level; raise
-        # the interpreter limit proportionally but keep a hard cap so a
-        # pathological instance raises RecursionError instead of
-        # overflowing the C stack, and restore the limit afterwards.
-        limit = sys.getrecursionlimit()
-        needed = min(12 * len(self.weights) + 1000, MAX_RECURSION_LIMIT)
-        if limit < needed:
-            sys.setrecursionlimit(needed)
         try:
-            return Fraction(self._reduce(normalized))
+            with _recursion_headroom(len(self.weights)):
+                return Fraction(self._reduce(normalized))
         except BudgetExceededError as exc:
             # Attach the partial statistics once, at the top level: the
             # inner loops stay free of bookkeeping, and callers see how
@@ -940,35 +950,26 @@ class CountingEngine:
             if exc.engine_stats is None:
                 exc.engine_stats = self.stats
             raise
-        finally:
-            if limit < needed:
-                sys.setrecursionlimit(limit)
 
     # -- node evaluation ---------------------------------------------------
 
     def _reduce(self, clauses):
         """Evaluate the top-level node: propagate units, split, recurse."""
+        reduced = _reduce_root(clauses, self.key_cache, self.stats)
+        if reduced is None:
+            return 0
+        assign, trail, vanished, components = reduced
+        weights = self.weights
+        totals = self.totals
         factor = 1
-        if any(len(c) == 1 for c in clauses):
-            propagated = self._reduce_units(clauses)
-            if propagated is None:
-                return 0
-            factor, components = propagated
-            if factor == 0:
-                return 0
-        else:
-            # Unit-free: nothing propagates and no variable vanishes, so
-            # the node is exactly its component split — memoized on the
-            # frozen clause tuple (tagged so it shares the key cache),
-            # which makes a repeated run a handful of dict hits.
-            key_cache = self.key_cache
-            memo_key = ("split", clauses)
-            components = key_cache.get(memo_key)
-            if components is None:
-                components, _residual_vars = _residual_components(clauses, {})
-                if len(key_cache) >= MAX_KEY_CACHE_ENTRIES:
-                    key_cache.clear()
-                key_cache[memo_key] = components
+        for v in trail:
+            pair = weights[v]
+            factor *= pair[0] if assign[v] else pair[1]
+        for v in vanished:
+            factor *= totals[v]
+        if factor == 0:
+            # Sound: the remaining count is finite and multiplied by 0.
+            return 0
         if len(components) > 1:
             self.stats.component_splits += 1
             if self.workers and self.workers > 1:
@@ -979,46 +980,6 @@ class CountingEngine:
                 return 0
             factor *= value
         return factor
-
-    def _reduce_units(self, clauses):
-        """Top-level build + unit propagation; ``None`` on conflict,
-        otherwise ``(weight factor, residual components)``."""
-        watches = {}
-        watch_pair = []
-        watched = []
-        queue = []
-        all_vars = set()
-        for c in clauses:
-            for lit in c:
-                all_vars.add(lit if lit > 0 else -lit)
-            if len(c) == 1:
-                queue.append(c[0])
-            else:
-                ci = len(watched)
-                watched.append(c)
-                watch_pair.append([c[0], c[1]])
-                watches.setdefault(c[0], []).append(ci)
-                watches.setdefault(c[1], []).append(ci)
-
-        assign = {}
-        trail = []
-        if not _propagate(watched, watches, watch_pair, assign, trail,
-                          queue, self.stats):
-            return None
-        weights = self.weights
-        factor = 1
-        for v in trail:
-            pair = weights[v]
-            factor *= pair[0] if assign[v] else pair[1]
-        if factor == 0:
-            # Sound: the remaining count is finite and multiplied by 0.
-            return 0, []
-        components, residual_vars = _residual_components(watched, assign)
-        totals = self.totals
-        for v in all_vars:
-            if v not in assign and v not in residual_vars:
-                factor *= totals[v]
-        return factor, components
 
     # -- component cache ---------------------------------------------------
 
@@ -1047,23 +1008,20 @@ class CountingEngine:
 
     def _count_component_miss(self, component, key, var_order):
         """Search a component that missed the cache, then store its value."""
-        if self.learn:
-            # Each component search earns activity branching with its own
-            # conflict rate; the counters are engine attributes (so
-            # ``_make_node`` sees them) saved and restored here because
-            # searches nest through split-off children.
-            saved = (self.search_conflicts, self.search_decisions,
-                     self.search_activity_on)
-            self.search_conflicts = 0
-            self.search_decisions = 0
-            self.search_activity_on = False
-            try:
-                result = self._cdcl_count(component, var_order)
-            finally:
-                (self.search_conflicts, self.search_decisions,
-                 self.search_activity_on) = saved
-        else:
-            result = self._branch(component, var_order)
+        # Each component search earns activity branching with its own
+        # conflict rate; the counters are engine attributes (so
+        # ``_make_node`` sees them) saved and restored here because
+        # searches nest through split-off children.
+        saved = (self.search_conflicts, self.search_decisions,
+                 self.search_activity_on)
+        self.search_conflicts = 0
+        self.search_decisions = 0
+        self.search_activity_on = False
+        try:
+            result = self._cdcl_count(component, var_order)
+        finally:
+            (self.search_conflicts, self.search_decisions,
+             self.search_activity_on) = saved
         cache = self.cache
         if len(cache) >= MAX_CACHE_ENTRIES:
             cache.clear()
@@ -1079,15 +1037,15 @@ class CountingEngine:
         plus ``var_inc`` per occurrence in a minimum-size clause of the
         *current* component.  The two terms are self-scaling — on
         conflict-free (model-dense) searches the dynamic MOMS term
-        dominates and the engine branches like the legacy counter, while
+        dominates and the engine branches by MOMS, while
         accumulating conflicts grow ``var_inc`` exponentially and hand
         control to the learned activities.  The activity term is
         additionally gated on the current search's conflict rate
         (``_ACTIVITY_RATE_GATE``): until this search itself proves
         conflict-rich, stale activity from earlier searches is ignored
-        and the order is exactly MOMS.  Zero-weight polarities are
-        skipped exactly like the legacy engine (a node with no branches
-        completes with value 0).
+        and the order is exactly MOMS (always so with learning off, where
+        no conflict is analysed).  Zero-weight polarities are skipped (a
+        node with no branches completes with value 0).
         """
         self.stats.decisions += 1
         self.search_decisions += 1
@@ -1123,17 +1081,18 @@ class CountingEngine:
         return _SearchNode(component, comp_vars, key, branches, start)
 
     def _cdcl_count(self, component, var_order):
-        """Count one component with the conflict-driven iterative search.
+        """Count one component with the iterative counting search.
 
         The search keeps a single persistent trail: each stack node counts
         one residual component by summing its decision branches, children
         that split off go through the component cache (a lone cache-missed
         child is descended into on the same trail; two or more are truly
-        independent and recurse into fresh searches).  Conflicts learn a
-        1-UIP clause and backjump to the asserting level; the abandoned
-        levels are recomputed through the cache, which is the sound way to
-        combine far backtracking with exact counting (no unexplored branch
-        is ever skipped).
+        independent and recurse into fresh searches).  With learning on,
+        conflicts learn a 1-UIP clause and backjump to the asserting
+        level; the abandoned levels are recomputed through the cache,
+        which is the sound way to combine far backtracking with exact
+        counting (no unexplored branch is ever skipped).  With learning
+        off, a conflict only closes its branch with value 0.
         """
         stats = self.stats
         weights = self.weights
@@ -1144,16 +1103,11 @@ class CountingEngine:
         max_learned = self.max_learned
         budget = self.budget
 
+        learn = self.learn
         n_orig = len(component)
-        clauses = list(component)
-        lbds = []
-        watches = {}
-        watch_pair = []
+        clauses, watches, watch_pair, _units = _watch_lists(component)
         watches_setdefault = watches.setdefault
-        for ci, c in enumerate(clauses):
-            watch_pair.append([c[0], c[1]])
-            watches_setdefault(c[0], []).append(ci)
-            watches_setdefault(c[1], []).append(ci)
+        lbds = []
 
         assign = {}
         vlevel = {}
@@ -1232,7 +1186,7 @@ class CountingEngine:
                     # holds at level 0 for the rest of the search (level-0
                     # literals are never resolved by conflict analysis).
                     why = None
-                conflict = _propagate_trail(
+                conflict = _propagate(
                     clauses, watches, watch_pair, assign, vlevel, reason,
                     trail, [(uip_lit, why)], a_level, node.comp_vars,
                     n_orig, stats)
@@ -1292,11 +1246,17 @@ class CountingEngine:
                     node.prop_end = len(trail)
                     state = EVAL
                     continue
-                conflict = _propagate_trail(
+                conflict = _propagate(
                     clauses, watches, watch_pair, assign, vlevel, reason,
                     trail, [(lit, None)], len(stack) - 1, node.comp_vars,
                     n_orig, stats)
                 if conflict >= 0:
+                    if not learn:
+                        # Learning off: the conflict closes this branch,
+                        # and nothing else happens.
+                        value = 0
+                        state = BRANCH_DONE
+                        continue
                     if handle_conflicts(conflict):
                         return 0
                     if (restart_at is not None and stats.conflicts >= restart_at
@@ -1489,82 +1449,6 @@ class CountingEngine:
             if ci is not None and ci >= n_orig:
                 reason[var] = remap[ci]
         self.stats.db_reductions += 1
-
-    # -- branching ---------------------------------------------------------
-
-    def _branch(self, component, var_order):
-        """Split on a decision variable chosen to maximize propagation.
-
-        ``component`` clauses all have at least two distinct literals (the
-        residual extraction guarantees it), so every clause starts with two
-        valid watches.  ``var_order`` is the component's variable set (in
-        canonical first-occurrence order, from the key memo).
-        """
-        stats = self.stats
-        stats.decisions += 1
-        if self.budget is not None:
-            self.budget.spend_decision()
-        clause_lits = list(component)
-
-        # Build pass: watch lists plus MOMS scores in one scan.
-        watches = {}
-        watch_pair = []
-        occurrences = {}
-        occurrences_get = occurrences.get
-        short_scores = {}
-        short_scores_get = short_scores.get
-        watches_setdefault = watches.setdefault
-        min_len = min(len(c) for c in clause_lits)
-        for ci, c in enumerate(clause_lits):
-            short = len(c) == min_len
-            for lit in c:
-                v = lit if lit > 0 else -lit
-                occurrences[v] = occurrences_get(v, 0) + 1
-                if short:
-                    short_scores[v] = short_scores_get(v, 0) + 1
-            watch_pair.append([c[0], c[1]])
-            watches_setdefault(c[0], []).append(ci)
-            watches_setdefault(c[1], []).append(ci)
-
-        # MOMS: most occurrences in minimum-size clauses, so the other
-        # polarity shortens those clauses toward units.
-        var = max(
-            short_scores,
-            key=lambda v: (short_scores[v], occurrences[v], -v),
-        )
-
-        weights = self.weights
-        totals = self.totals
-        w, wbar = weights[var]
-        total = 0
-        for lit, lit_weight in ((var, w), (-var, wbar)):
-            if lit_weight == 0:
-                continue
-            assign = {}
-            trail = []
-            if not _propagate(clause_lits, watches, watch_pair, assign,
-                              trail, [lit], stats):
-                continue
-            factor = 1
-            for v in trail:
-                pair = weights[v]
-                factor *= pair[0] if assign[v] else pair[1]
-            if factor == 0:
-                continue
-            components, residual_vars = _residual_components(clause_lits, assign)
-            for v in var_order:
-                if v not in assign and v not in residual_vars:
-                    factor *= totals[v]
-            if len(components) > 1:
-                stats.component_splits += 1
-            for child in components:
-                value = self._count_component(child)
-                if value == 0:
-                    factor = 0
-                    break
-                factor *= value
-            total += factor
-        return total
 
     # -- parallel counting -------------------------------------------------
 
@@ -1765,30 +1649,28 @@ def _trace_search(component, comp_vars, builder, key_cache, stats,
                   budget=None):
     """Trace one connected component's counting search into the builder.
 
-    Mirrors the learning-free search (:meth:`CountingEngine._branch`)
-    with MOMS decisions, but emits nodes instead of multiplying weights:
-    both polarities are always explored (a conflicted polarity simply
-    contributes no branch), so the resulting +-node is correct for every
-    weight assignment, zeros and negatives included.
+    The learning-free search kept beside the counting loop: a recursive
+    MOMS search (the decision order of ``learn=False``) that emits nodes
+    instead of multiplying weights.  Both polarities are always explored
+    (a conflicted polarity simply contributes no branch), so the
+    resulting +-node is correct for every weight assignment, zeros and
+    negatives included.  It shares the propagation core and residual
+    split with :class:`CountingEngine` but neither learns nor consults
+    the weighted component cache, which makes compiled circuits an
+    independent check on the counting loop.
     """
     stats.decisions += 1
     if budget is not None:
         budget.tick()
-    clause_lits = list(component)
-    watches = {}
-    watch_pair = []
-    watches_setdefault = watches.setdefault
-    for ci, c in enumerate(clause_lits):
-        watch_pair.append([c[0], c[1]])
-        watches_setdefault(c[0], []).append(ci)
-        watches_setdefault(c[1], []).append(ci)
+    clause_lits, watches, watch_pair, _units = _watch_lists(component)
     var = _moms_var(component)
     branches = []
     for lit in (var, -var):
         assign = {}
         trail = []
-        if not _propagate(clause_lits, watches, watch_pair, assign, trail,
-                          [lit], stats):
+        if _propagate(clause_lits, watches, watch_pair, assign, {}, {},
+                      trail, [(lit, None)], 0, None, len(clause_lits),
+                      stats) != -1:
             continue
         factors = [builder.lit(v, assign[v]) for v in trail]
         components, residual_vars = _residual_components(clause_lits, assign)
@@ -1846,60 +1728,24 @@ def trace_cnf_clauses(clauses, builder, key_cache=None, stats=None,
     """
     key_cache = _SHARED_KEY_CACHE if key_cache is None else key_cache
     stats = _SHARED_STATS if stats is None else stats
-    if trusted:
-        normalized = clauses if isinstance(clauses, tuple) else tuple(clauses)
-    else:
-        normalized = []
-        for c in clauses:
-            c = tuple(dict.fromkeys(c))
-            if not c:
-                return builder.const(0)
-            normalized.append(c)
-        normalized = tuple(normalized)
+    normalized = _normalize(clauses, trusted)
+    if normalized is None:
+        return builder.const(0)
     if not normalized:
         return builder.const(1)
-
-    all_vars = set()
-    watches = {}
-    watch_pair = []
-    watched = []
-    queue = []
-    for c in normalized:
-        for lit in c:
-            all_vars.add(lit if lit > 0 else -lit)
-        if len(c) == 1:
-            queue.append(c[0])
-        else:
-            ci = len(watched)
-            watched.append(c)
-            watch_pair.append([c[0], c[1]])
-            watches.setdefault(c[0], []).append(ci)
-            watches.setdefault(c[1], []).append(ci)
-    assign = {}
-    trail = []
-    if not _propagate(watched, watches, watch_pair, assign, trail, queue,
-                      stats):
+    reduced = _reduce_root(normalized, key_cache, stats)
+    if reduced is None:
         return builder.const(0)
-
-    limit = sys.getrecursionlimit()
-    needed = min(12 * len(all_vars) + 1000, MAX_RECURSION_LIMIT)
-    if limit < needed:
-        sys.setrecursionlimit(needed)
-    try:
-        with span("trace_cnf", cat="engine", vars=len(all_vars),
-                  clauses=len(normalized)):
-            factors = [builder.lit(v, assign[v]) for v in trail]
-            components, residual_vars = _residual_components(watched, assign)
-            for v in all_vars:
-                if v not in assign and v not in residual_vars:
-                    factors.append(builder.tot(v))
-            for component in components:
-                factors.append(_trace_component(component, builder, key_cache,
-                                                stats, budget))
-            return builder.times(factors)
-    finally:
-        if limit < needed:
-            sys.setrecursionlimit(limit)
+    assign, trail, vanished, components = reduced
+    n_vars = len(_clause_vars(normalized))
+    with _recursion_headroom(n_vars), span(
+            "trace_cnf", cat="engine", vars=n_vars, clauses=len(normalized)):
+        factors = [builder.lit(v, assign[v]) for v in trail]
+        factors.extend(builder.tot(v) for v in vanished)
+        for component in components:
+            factors.append(_trace_component(component, builder, key_cache,
+                                            stats, budget))
+        return builder.times(factors)
 
 
 # -- worker pool -------------------------------------------------------------
@@ -1975,19 +1821,12 @@ def _count_component_task(payload):
         from ..cache import persistent_component_cache
 
         cache = persistent_component_cache(opts.cache_dir, mem=_SHARED_CACHE)
-    limit = sys.getrecursionlimit()
-    needed = min(12 * len(weights) + 1000, MAX_RECURSION_LIMIT)
-    if limit < needed:
-        sys.setrecursionlimit(needed)
-    try:
+    with _recursion_headroom(len(weights)):
         stats = EngineStats()
         engine = CountingEngine(weights, totals, cache=cache, stats=stats,
                                 options=opts)
         value = engine._count_component(component)
         return value, stats.as_dict()
-    finally:
-        if limit < needed:
-            sys.setrecursionlimit(limit)
 
 
 # -- public wrappers ---------------------------------------------------------
@@ -2127,45 +1966,16 @@ def _sat_residual(clauses, stats):
     """Watched-literal BCP plus residual extraction for the SAT path.
 
     Returns the residual clause tuple, or ``None`` on conflict.  Shares
-    the counting engine's propagation core, so conditioning never rescans
-    the clause list either: a decision is just an extra unit clause.
+    the counting engine's propagation core and residual extraction, so
+    conditioning never rescans the clause list either: a decision is just
+    an extra unit clause.
     """
-    watches = {}
-    watch_pair = []
-    watched = []
-    queue = []
-    for c in clauses:
-        if len(c) == 1:
-            queue.append(c[0])
-        else:
-            ci = len(watched)
-            watched.append(c)
-            watch_pair.append([c[0], c[1]])
-            watches.setdefault(c[0], []).append(ci)
-            watches.setdefault(c[1], []).append(ci)
+    watched, watches, watch_pair, queue = _watch_lists(clauses)
     assign = {}
-    if queue and not _propagate(watched, watches, watch_pair, assign, [],
-                                queue, stats):
+    if queue and _propagate(watched, watches, watch_pair, assign, {}, {}, [],
+                            queue, 0, None, len(watched), stats) != -1:
         return None
-    residual = []
-    for c in watched:
-        keep = None
-        satisfied = False
-        for i, l in enumerate(c):
-            v = l if l > 0 else -l
-            value = assign.get(v)
-            if value is None:
-                if keep is not None:
-                    keep.append(l)
-            elif value is (l > 0):
-                satisfied = True
-                break
-            elif keep is None:
-                keep = list(c[:i])
-        if satisfied:
-            continue
-        residual.append(c if keep is None else tuple(keep))
-    return tuple(residual)
+    return _residual_light(watched, assign)[0]
 
 
 def _sat(clauses):

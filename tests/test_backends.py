@@ -108,12 +108,6 @@ class TestUnifiedSurface:
         for backend in ("exact", "batched", "codegen"):
             assert compiled.evaluate_many([], backend=backend) == []
 
-    def test_circuit_evaluate_batch_alias(self):
-        circuit = _small_circuit()
-        weights = lambda v: (Fraction(1, 2), 1)  # noqa: E731
-        assert circuit.evaluate_batch([weights]) == (
-            circuit.evaluate_many([weights]))
-
 
 class TestFloatBackend:
     def test_value_within_tracked_bound(self):

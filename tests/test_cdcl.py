@@ -1,9 +1,11 @@
 """Tests for the conflict-driven (CDCL) counting search.
 
 Three layers of validation: Hypothesis property tests assert exact
-agreement between the CDCL engine, the learning-free engine, and
-brute-force enumeration on random weighted CNFs; determinism tests pin
-down bit-identical results for ``learn=True, workers>1``; and white-box
+agreement between the CDCL engine, the same search with learning off,
+compiled circuits (whose trace is a learning-free search independent of
+the CDCL loop), and brute-force enumeration on random weighted CNFs;
+determinism tests pin down bit-identical results for ``learn=True,
+workers>1``; and white-box
 unit tests check 1-UIP derivation, asserting levels, and LBD on
 hand-built implication graphs, plus learned-database reduction and the
 engine-knob plumbing through the solver layer.
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 
+from repro.compile import compile_cnf
 from repro.options import SolverOptions
 from repro.propositional.cnf import CNF
 from repro.propositional.counter import (
@@ -106,14 +109,22 @@ class TestCDCLAgainstEnumeration:
         pairs = {v: WeightPair(1, 1) for v in range(1, 25)}
         results = []
         conflict_stats = None
-        for knobs in ({"learn": False}, {"learn": True},
+        for knobs in ({"learn": False}, {"learn": False, "restarts": 1},
+                      {"learn": True},
                       {"learn": True, "branching": "moms"},
                       {"learn": True, "max_learned": 16}):
             engine = _engine(pairs, **knobs)
             results.append(engine.run(clauses))
             if knobs == {"learn": True}:
                 conflict_stats = engine.stats
-        assert len(set(results)) == 1
+            if not knobs["learn"]:
+                # Learning off: a conflict only closes its branch.
+                stats = engine.stats
+                assert (stats.conflicts, stats.learned_clauses,
+                        stats.backjumps, stats.restarts) == (0, 0, 0, 0)
+        compiled = compile_cnf(_cnf_from_clauses(clauses, 24)).evaluate(
+            lambda v: (1, 1))
+        assert set(results) == {compiled}
         # The default engine actually learned on this instance.
         assert conflict_stats.conflicts > 0
         assert conflict_stats.learned_clauses > 0
@@ -144,6 +155,7 @@ class TestParallelLearningDeterminism:
         no_learn = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
                            stats=EngineStats(), options=SolverOptions(learn=False))
         assert serial == no_learn
+        assert serial == compile_cnf(cnf).evaluate(pairs.__getitem__)
         for _ in range(3):
             stats = EngineStats()
             parallel = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
@@ -257,6 +269,8 @@ class TestLearnedDatabase:
         clauses = _hard_random_clauses(num_vars=28, ratio=4.3, seed=11)
         pairs = {v: WeightPair(1, 1) for v in range(1, 29)}
         reference = _engine(pairs, learn=False).run(clauses)
+        cnf = _cnf_from_clauses(clauses, 28)
+        assert reference == compile_cnf(cnf).evaluate(lambda v: (1, 1))
         engine = _engine(pairs, learn=True, max_learned=4)
         assert engine.run(clauses) == reference
         assert engine.stats.db_reductions >= 1

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import pytest
 
+from repro import Budget, BudgetExceededError
+from repro.complexity.encoding import encode_theta1
 from repro.compile import (
     CircuitBuilder,
     Circuit,
@@ -45,6 +47,7 @@ from repro.wfomc.solver import (
     wfomc_batch,
     wfomc_weight_sweep,
 )
+from tests.test_theta1 import _branching_machine
 
 
 def _cnf(clauses, num_vars):
@@ -153,12 +156,6 @@ class TestCircuitEvaluation:
         assert stats["nodes"] == len(c)
         assert stats["depth"] == c.depth()
         assert stats["vars"] == 2
-
-    def test_evaluate_batch(self):
-        c = self._example()
-        w1 = {"x": (1, 1), "y": (1, 1)}
-        w2 = {"x": (2, 0), "y": (0, 3)}
-        assert c.evaluate_batch([w1, w2]) == [c.evaluate(w1), c.evaluate(w2)]
 
 
 class TestSmoothing:
@@ -292,6 +289,41 @@ class TestCompileLineage:
         # Symmetric lineages re-encounter renamed copies of the same
         # component: the canonical templates must be reused.
         assert stats["trace_template_hits"] > 0
+
+    def test_aborted_trace_keeps_templates_and_retry_warm_starts(self):
+        sentence = encode_theta1(_branching_machine(), epochs=1).sentence
+        clear_compile_cache()
+        reset_engine()
+        cold_budget = Budget()
+        cold = compile_wfomc(sentence, 3,
+                             options=SolverOptions(budget=cold_budget))
+        cold_misses = engine_stats()["trace_template_misses"]
+        clear_compile_cache()
+        reset_engine()
+
+        # The budget reads its clock on its first tick and every 64th
+        # after; a clock that advances one second per read trips the
+        # budget at the ``timeout``-th read, about halfway through.
+        reads = itertools.count()
+        budget = Budget(timeout=cold_budget.ticks // 2 // 64,
+                        clock=lambda: next(reads))
+        with pytest.raises(BudgetExceededError):
+            compile_wfomc(sentence, 3, options=SolverOptions(budget=budget))
+        aborted = engine_stats()
+        assert aborted["trace_templates"] > 0, "abort came before a template"
+
+        retry = compile_wfomc(sentence, 3)
+        stats = engine_stats()
+        assert stats["trace_template_hits"] > aborted["trace_template_hits"]
+        retry_misses = (stats["trace_template_misses"]
+                        - aborted["trace_template_misses"])
+        assert retry_misses < cold_misses
+        vocabulary = WeightedVocabulary.counting(sentence).vocabulary
+        for pair in ((1, 1), (0, 3), (Fraction(-1, 2), Fraction(5, 3))):
+            weighted = WeightedVocabulary.uniform(vocabulary, WeightPair(*pair))
+            got, want = retry.evaluate(weighted), cold.evaluate(weighted)
+            assert (got.numerator, got.denominator) == (
+                want.numerator, want.denominator)
 
 
 class TestCompileWFOMC:

@@ -72,7 +72,8 @@ def _count_all_ways(cnf, pairs, cache_dir):
     """The counted value under every engine configuration.
 
     Returns ``{name: Fraction}`` for: the default CDCL engine, the MOMS
-    branching ablation, the learning-free engine, the phase-saving
+    branching ablation, the same search with learning off (alone and with
+    the restart knob set, which must then do nothing), the phase-saving
     ablation, the Luby-restart policy at its most aggressive unit, a
     persist-on run (writing the store), a persist-on run
     with a *fresh in-memory cache* (so every component it reuses comes
@@ -92,6 +93,7 @@ def _count_all_ways(cnf, pairs, cache_dir):
         ("cdcl", {}),
         ("moms-branching", {"branching": "moms"}),
         ("no-learn", {"learn": False}),
+        ("no-learn-restarts", {"learn": False, "restarts": 1}),
         ("no-phase-saving", {"phase_saving": False}),
         # Unit 1 fires a restart after every Luby step — maximally
         # aggressive, so even small instances exercise the restart path.
