@@ -368,6 +368,8 @@ def compile_wfomc(formula, n, vocabulary=None, options=None):
             _COMPILED_CACHE.put(cache_key, compiled)
             return compiled
 
+    if opts.budget is not None:
+        opts.budget.check()  # an expired budget trips before grounding
     with span("compile_wfomc", cat="compile", n=n, method=method):
         if method == "fo2":
             if n == 0:

@@ -1893,7 +1893,7 @@ def wmc_cnf(cnf, weight_of_label, engine_cache=None, stats=None, options=None):
     clauses = tuple(cnf.clauses)
     # ``to_cnf`` guarantees duplicate-free, non-empty clauses.
     with span("wmc_cnf", cat="engine", vars=cnf.num_vars,
-              clauses=len(clauses)):
+              clauses=len(clauses), aux=cnf.num_aux()):
         result = engine.run(clauses, trusted=True)
 
     # Labeled variables never mentioned by any clause are unconstrained.

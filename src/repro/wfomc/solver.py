@@ -152,7 +152,10 @@ def _dispatch(formula, n, wv, opts):
 
     Takes the whole :class:`~repro.options.SolverOptions` — the single
     object threaded from every entry point down to the counting layers.
+    An expired or cancelled budget raises before any grounding.
     """
+    if opts.budget is not None:
+        opts.budget.check()
     method = opts.method
     if method == "fo2":
         return wfomc_fo2(formula, n, wv, options=opts)

@@ -17,7 +17,7 @@ from repro.logic.syntax import (
     neg,
 )
 from repro.logic.vocabulary import WeightedVocabulary
-from repro.propositional.formula import pand, pnot, por, pvar
+from repro.propositional.formula import PNot, POr, pand, pnot, por, pvar
 
 X, Y = Var("x"), Var("y")
 
@@ -134,3 +134,33 @@ def cnf_clause_lists(draw, num_vars=5, max_clauses=8):
     )
     clause = st.lists(literals, min_size=1, max_size=3).map(tuple)
     return draw(st.lists(clause, min_size=0, max_size=max_clauses))
+
+
+@st.composite
+def lineage_conjunctions(draw, labels=("a", "b", "c", "d")):
+    """Conjunctions shaped like the lineages of universal sentences.
+
+    Mixes literal clauses, grounded implications ``!(x & y) | z``, alone
+    or next to their De Morgan twin ``!x | !y | z`` (a hidden duplicate
+    clause), ANDs nested inside ORs, negated ORs, double negations, and
+    tautologies hidden behind De Morgan (``!(x & y) | x``).
+    """
+    atoms = [pvar(l) for l in labels]
+    literal = st.sampled_from(atoms + [pnot(a) for a in atoms])
+    clause = st.lists(literal, min_size=1, max_size=3).map(lambda ls: por(*ls))
+    implication = st.tuples(literal, literal, literal).map(
+        lambda t: por(pnot(pand(t[0], t[1])), t[2]))
+    twins = st.tuples(literal, literal, literal).map(
+        lambda t: pand(por(pnot(pand(t[0], t[1])), t[2]),
+                       por(pnot(t[0]), pnot(t[1]), t[2])))
+    nested = st.tuples(literal, st.lists(literal, min_size=2, max_size=3)).map(
+        lambda t: por(t[0], pand(*t[1])))
+    negated_or = st.lists(literal, min_size=2, max_size=3).map(
+        lambda ls: pnot(por(*ls)))
+    double_negation = st.tuples(literal, literal).map(
+        lambda t: POr((PNot(PNot(t[0])), t[1])))
+    hidden_tautology = st.tuples(literal, literal).map(
+        lambda t: por(pnot(pand(t[0], t[1])), t[0]))
+    shape = st.one_of(clause, implication, twins, nested, negated_or,
+                      double_negation, hidden_tautology)
+    return pand(*draw(st.lists(shape, min_size=1, max_size=6)))

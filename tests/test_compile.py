@@ -301,11 +301,12 @@ class TestCompileLineage:
         clear_compile_cache()
         reset_engine()
 
-        # The budget reads its clock on its first tick and every 64th
-        # after; a clock that advances one second per read trips the
-        # budget at the ``timeout``-th read, about halfway through.
+        # The budget reads its clock once on entry to compile_wfomc, then
+        # on its first tick and every 64th after; a clock that advances
+        # one second per read trips the budget at the ``timeout``-th
+        # read, partway through.
         reads = itertools.count()
-        budget = Budget(timeout=cold_budget.ticks // 2 // 64,
+        budget = Budget(timeout=1 + cold_budget.ticks // 2 // 64,
                         clock=lambda: next(reads))
         with pytest.raises(BudgetExceededError):
             compile_wfomc(sentence, 3, options=SolverOptions(budget=budget))

@@ -59,6 +59,17 @@ class TestSpans:
         assert inner_parent == events["outer"][0]
         assert events["outer"][1] == 0
 
+    def test_wmc_cnf_span_counts_auxiliaries(self):
+        from repro.propositional.counter import wmc_formula
+        from repro.propositional.formula import pand, por, pvar
+
+        recorder = enable_tracing()
+        a, b, c = (pvar(label) for label in "abc")
+        # a | (b & c): the nested conjunction is the one Tseitin variable.
+        assert wmc_formula(por(a, pand(b, c)), lambda _label: (1, 1)) == 5
+        (args,) = [row[7] for row in recorder.snapshot() if row[0] == "wmc_cnf"]
+        assert (args["vars"], args["aux"]) == (4, 1)
+
     def test_exception_annotates_and_propagates(self):
         recorder = enable_tracing()
         with pytest.raises(ValueError):

@@ -5,14 +5,19 @@ computation, so it gets property tests against assignment enumeration,
 including with negative weights.
 """
 
+import sys
+from fractions import Fraction
 
 from hypothesis import given, settings
 
+from repro.grounding.lineage import lineage
+from repro.logic import parse
 from repro.propositional.bruteforce import count_models_enumerate, wmc_enumerate
 from repro.propositional.cnf import to_cnf
 from repro.propositional.counter import (
     model_count,
     satisfiable,
+    wmc_cnf,
     wmc_formula,
 )
 from repro.propositional.formula import (
@@ -29,7 +34,7 @@ from repro.propositional.formula import (
 )
 from repro.weights import WeightPair
 
-from .strategies import fractions, prop_formulas
+from .strategies import fractions, lineage_conjunctions, prop_formulas
 
 a, b, c = pvar("a"), pvar("b"), pvar("c")
 
@@ -85,6 +90,70 @@ class TestCNF:
     def test_tseitin_count_property(self, f):
         universe = sorted(prop_vars(f))
         assert model_count(f, universe) == count_models_enumerate(f, universe)
+
+    def test_transitive_lineage_needs_no_auxiliaries(self):
+        # R(x,y) & R(y,z) -> R(x,z) grounds to !(R(x,y) & R(y,z)) | R(x,z):
+        # a clause up to De Morgan.  64 ground clauses, minus tautologies
+        # and repeats, over the 16 atoms of n=4.
+        sentence = parse("forall x, y, z. (R(x, y) & R(y, z) -> R(x, z))")
+        cnf = to_cnf(lineage(sentence, 4))
+        assert (cnf.num_vars, len(cnf.clauses), cnf.num_aux()) == (16, 36, 0)
+        assert model_count(lineage(sentence, 4)) == 3994
+
+    def test_disguised_tautology_has_no_clauses(self):
+        # z = y satisfies every ground disjunction, so each flattened
+        # clause holds !T(x,y) and T(x,y) and is dropped.
+        sentence = parse(
+            "forall x. forall y. exists z. ((T(x,y) & T(y,z)) -> T(x,z))")
+        cnf = to_cnf(lineage(sentence, 4))
+        assert (cnf.num_vars, cnf.clauses) == (16, [])
+
+    def test_auxiliaries_only_for_non_literal_disjuncts(self):
+        d = pvar("d")
+        f = pand(por(a, pand(b, c)), por(pnot(pand(a, b)), c), pnot(por(a, d)))
+        cnf = to_cnf(f)
+        assert cnf.num_aux() == 1  # for the nested b & c, nothing else
+        va, vb, vc, vd = (cnf.index_of[l] for l in "abcd")
+        (x,) = set(range(1, cnf.num_vars + 1)) - set(cnf.labels)
+        assert sorted(map(sorted, cnf.clauses)) == sorted(map(sorted, [
+            (va, x), (-x, vb), (-x, vc), (x, -vb, -vc),  # x <-> (b & c)
+            (-va, -vb, vc), (-va,), (-vd,),
+        ]))
+        # A conjunct that is not a clause up to De Morgan keeps its
+        # disjuncts as written: there !(a & b) is one auxiliary.
+        assert to_cnf(por(pnot(pand(a, b)), pand(b, c))).num_aux() == 2
+
+    def test_deep_formula_converts_without_recursion(self):
+        # Built with the raw node classes: hashing a 5,000-deep node (as
+        # the smart constructors do) would itself recurse.  Each level
+        # puts its literal first, and every assignment decides the chain
+        # within six levels, so the recursive reference evaluator behind
+        # count_models_enumerate stays shallow.
+        assert sys.getrecursionlimit() < 5000
+        atoms = [pvar(i) for i in range(3)]
+        f = atoms[0]
+        for i in range(5000):
+            f = (PAnd if i % 2 == 0 else POr)((atoms[(i + 1) % 3], f))
+        cnf = to_cnf(f, extra_labels=range(3))
+        assert cnf.num_aux() > 0
+        assert wmc_cnf(cnf, lambda _label: (1, 1)) == count_models_enumerate(
+            f, range(3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(lineage_conjunctions(), fractions(), fractions(), fractions(),
+           fractions())
+    def test_lineage_shapes_match_enumeration(self, f, wa, wb, wc, wd):
+        pairs = {
+            "a": WeightPair(wa, wb),
+            "b": WeightPair(wb, 0),
+            "c": WeightPair(wc, wd),
+            "d": WeightPair(Fraction(-1, 2), wa),
+        }
+        universe = ["a", "b", "c", "d"]
+        fast = wmc_formula(f, pairs.__getitem__, universe)
+        slow = wmc_enumerate(f, pairs.__getitem__, universe)
+        assert (fast.numerator, fast.denominator) == (
+            slow.numerator, slow.denominator)
 
 
 class TestWMC:

@@ -220,6 +220,23 @@ class TestBudgetOnEngine:
         assert budget.ticks > 1  # it got past the first check point
         assert self._run(cache=cache) == reference
 
+    def test_expired_budget_trips_before_grounding(self):
+        # The lineage of forall x. P(x) is three unit clauses: the engine
+        # makes no decision and never charges the budget, so only the
+        # entry checks of wfomc and compile_wfomc can refuse it.
+        from repro import parse, wfomc
+        from repro.compile import clear_compile_cache, compile_wfomc
+        from repro.wfomc.solver import clear_solver_caches
+
+        clear_solver_caches()
+        clear_compile_cache()
+        formula = parse("forall x. P(x)")
+        for call in (wfomc, compile_wfomc):
+            with pytest.raises(BudgetExceededError) as info:
+                call(formula, 3, options=SolverOptions(
+                    method="lineage", budget=Budget(timeout=0)))
+            assert info.value.reason == "timeout"
+
     def test_wfomc_timeout_and_warm_retry(self):
         from repro import parse, wfomc
         from repro.grounding.lineage import clear_grounding_caches

@@ -257,7 +257,7 @@ class TestProtocol:
 
 class TestDeadlines:
     def test_expired_deadline_is_typed_504_within_2x(self, serve):
-        # A hard instance (transitivity-like, seconds of search) with a
+        # A hard instance (two-step paths, minutes of search at n=5) with a
         # short deadline: the budget trips inside the engine, and the
         # daemon's backstop bounds the total at 2x the deadline even if
         # it did not.  Fresh predicate names dodge the result caches.
@@ -267,7 +267,7 @@ class TestDeadlines:
         status, body, _ = h.request(
             "POST", "/v1/wfomc",
             {"formula": "forall x. forall y. exists z."
-                        " ((T0(x,y) & T0(y,z)) -> T0(x,z))",
+                        " (T0(x,z) & T0(z,y))",
              "n": 5, "deadline_ms": deadline_s * 1000})
         elapsed = time.monotonic() - started
         assert status == 504
@@ -282,7 +282,7 @@ class TestDeadlines:
         status, body, _ = h.request(
             "POST", "/v1/wfomc",
             {"formula": "forall x. forall y. exists z."
-                        " ((T1(x,y) & T1(y,z)) -> T1(x,z))",
+                        " (T1(x,z) & T1(z,y))",
              "n": 5, "deadline_ms": 0})
         assert status == 504
         assert body["error"]["type"] == "BudgetExceededError"
@@ -300,7 +300,7 @@ class TestDeadlines:
         status, body, _ = h.request(
             "POST", "/v1/wfomc",
             {"formula": "forall x. forall y. exists z."
-                        " ((T2(x,y) & T2(y,z)) -> T2(x,z))", "n": 5})
+                        " (T2(x,z) & T2(z,y))", "n": 5})
         assert status == 504
         assert body["error"]["type"] == "BudgetExceededError"
 
