@@ -158,18 +158,22 @@ def to_cnf(formula, extra_labels=()):
     # Auxiliary of each (junction, operand literals) definition, so
     # equal sub-formulas share one variable.
     aux_of = {}
-    true_lit = []  # a lazily made auxiliary forced true, for constants
+    # An auxiliary forced true, made on first use: the literal of a
+    # constant that raw (not smart-constructed) nodes carry into a
+    # definition.
+    true_var = 0
 
     def literal(g, pos):
+        nonlocal true_var
         if isinstance(g, PVar):
             lit = cnf.var_for(g.label)
         elif isinstance(g, (PAnd, POr)):
             lit = lit_of[id(g)]
         elif isinstance(g, (PTrue, PFalse)):
-            if not true_lit:
-                true_lit.append(cnf.aux_var())
-                emit((true_lit[0],))
-            lit = true_lit[0] if isinstance(g, PTrue) else -true_lit[0]
+            if not true_var:
+                true_var = cnf.aux_var()
+                emit((true_var,))
+            lit = true_var if isinstance(g, PTrue) else -true_var
         else:
             raise TypeError("not a propositional formula: {!r}".format(g))
         return lit if pos else -lit

@@ -23,6 +23,7 @@ from repro.propositional.counter import (
 from repro.propositional.formula import (
     PAnd,
     PFalse,
+    PNot,
     POr,
     PTrue,
     pand,
@@ -122,6 +123,17 @@ class TestCNF:
         # A conjunct that is not a clause up to De Morgan keeps its
         # disjuncts as written: there !(a & b) is one auxiliary.
         assert to_cnf(por(pnot(pand(a, b)), pand(b, c))).num_aux() == 2
+
+    def test_constants_inside_raw_nodes(self):
+        # The smart constructors fold constants away; raw nodes can still
+        # carry them into a clause or a definition.
+        for f in (
+            PAnd((POr((a, PAnd((b, PTrue())))), POr((c, PFalse())))),
+            POr((PAnd((a, PFalse())), PAnd((b, c)), PNot(POr((PTrue(), a))))),
+            PAnd((POr((a, PNot(PFalse()))), PNot(PAnd((PTrue(), b))))),
+        ):
+            universe = ["a", "b", "c"]
+            assert model_count(f, universe) == count_models_enumerate(f, universe)
 
     def test_deep_formula_converts_without_recursion(self):
         # Built with the raw node classes: hashing a 5,000-deep node (as
