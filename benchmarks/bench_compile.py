@@ -9,8 +9,14 @@ Two roles, mirroring ``bench_persist.py``:
   weight sweep both ways from cold caches — ``k`` direct counts against
   compile-once-evaluate-``k`` — and reports both wall clocks.
   ``check_regression.py`` gates the speedup (>= 2x with bit-identical
-  results), the amortization property the subsystem exists for.
-  Running this module as a script prints the same measurement::
+  results), the amortization property the subsystem exists for;
+* :func:`measure_compile_vs_count` times one cold compile of the
+  conflict-rich two-state Theta_1 lineage against one cold count of
+  it.  Compiling runs the counting search over circuit values, so it
+  should cost a small multiple of counting; ``check_regression.py``
+  fails above 5x.
+
+Running this module as a script prints both measurements::
 
       python benchmarks/bench_compile.py
 """
@@ -51,6 +57,26 @@ def _theta1_sweep_instance(sweep_size):
     return sentence, vocabularies
 
 
+def _two_state_theta1():
+    """Theta_1 of a machine that alternates states and rejects on
+    reading 0 in ``q1`` — the conflict-rich grounding."""
+    from repro.complexity.encoding import encode_theta1
+    from repro.complexity.turing import LEFT, RIGHT, CountingTM, Transition
+
+    tm = CountingTM(
+        states=["q0", "q1"], initial="q0", accepting=["q1"], num_tapes=1,
+        active_tape={"q0": 0, "q1": 0},
+        delta={
+            ("q0", 1): [Transition("q1", 1, RIGHT)],
+            ("q0", 0): [Transition("q0", 0, RIGHT)],
+            ("q1", 1): [Transition("q0", 0, RIGHT),
+                        Transition("q1", 1, LEFT)],
+            ("q1", 0): [Transition("q1", 0, RIGHT)],
+        },
+    )
+    return encode_theta1(tm, epochs=1).sentence
+
+
 def _cold_caches():
     from repro.compile import clear_compile_cache
     from repro.grounding.lineage import clear_grounding_caches
@@ -70,8 +96,9 @@ def measure_compile_vs_direct(sweep_size=32, n=3):
     grounding and ``k`` full counting searches (the searches share the
     weight-independent key caches and whatever components the varied
     predicate does not touch — the strongest baseline the engine
-    offers), while the compiled side pays one grounding, one traced
-    search, and ``k`` linear circuit evaluations.  Returns both times,
+    offers), while the compiled side pays one grounding, one compiling
+    run of the same counting search over circuit values, and ``k``
+    linear circuit evaluations.  Returns both times,
     the speedup, and whether the result lists were bit-identical.
     """
     from repro.options import SolverOptions
@@ -104,6 +131,44 @@ def measure_compile_vs_direct(sweep_size=32, n=3):
         "compiled_s": compiled_s,
         "speedup": direct_s / compiled_s,
         "bit_identical": identical,
+    }
+
+
+def measure_compile_vs_count(n=3):
+    """Cold-cache wall clock of one compile against one count.
+
+    Both sides ground the two-state Theta_1 lineage from fully cold
+    caches; one then counts it (``wfomc``), the other compiles it
+    (``compile_wfomc``) and evaluates the circuit at the counting
+    weights.  Returns both times, their ratio, and whether the two
+    answers were bit-identical.
+    """
+    from repro.compile import compile_wfomc
+    from repro.logic.vocabulary import WeightedVocabulary
+    from repro.options import SolverOptions
+    from repro.wfomc.solver import wfomc
+
+    sentence = _two_state_theta1()
+    options = SolverOptions(method="lineage")
+
+    _cold_caches()
+    start = time.perf_counter()
+    direct = wfomc(sentence, n, options=options)
+    count_s = time.perf_counter() - start
+
+    _cold_caches()
+    start = time.perf_counter()
+    compiled = compile_wfomc(sentence, n, options=options)
+    compile_s = time.perf_counter() - start
+
+    value = compiled.evaluate(WeightedVocabulary.counting(sentence))
+    return {
+        "n": n,
+        "count_s": count_s,
+        "compile_s": compile_s,
+        "ratio": compile_s / count_s,
+        "bit_identical": (value.numerator, value.denominator)
+        == (direct.numerator, direct.denominator),
     }
 
 
@@ -154,4 +219,6 @@ def test_compile_smoke_gradient(benchmark):
 
 
 if __name__ == "__main__":
-    print(json.dumps(measure_compile_vs_direct(), indent=2))
+    print(json.dumps({"compile_vs_direct": measure_compile_vs_direct(),
+                      "compile_vs_count": measure_compile_vs_count()},
+                     indent=2))

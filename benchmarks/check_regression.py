@@ -28,7 +28,11 @@ The *knowledge-compilation* gate runs the same Theta_1 weight sweep
 compile-once-evaluate-k against k direct counts (both from cold
 caches): the compiled route must win by at least ``--compile-floor``
 (default 2x) with bit-identical results — the amortization property of
-:mod:`repro.compile`.  Disable with ``--skip-compile``.
+:mod:`repro.compile`.  It also times one cold compile of the two-state
+Theta_1 lineage against one cold count of it: compiling runs the
+counting search over circuit values, so it may cost at most
+``COMPILE_COUNT_CEILING`` (5x) the count.  Disable both with
+``--skip-compile``.
 
 The *evaluation-backend* gate serves the compiled Theta_1 k=32 sweep
 through the ``codegen`` and ``batched`` backends in steady state: each
@@ -188,16 +192,25 @@ def check_persist(persist_floor):
         persist_floor))
 
 
+#: A cold compile of the two-state Theta_1 lineage may take at most this
+#: many times a cold count of it.
+COMPILE_COUNT_CEILING = 5.0
+
+
 def check_compile(compile_floor):
     """Compile-once-evaluate-k vs k direct counts on the Theta_1 sweep.
 
     The amortization gate of the knowledge-compilation subsystem: the
     compiled sweep must be at least ``compile_floor`` times faster than
     the same sweep served by repeated direct counts, with bit-identical
-    results.  One retry absorbs scheduler noise, exactly like the
-    persistent-cache gate.
+    results.  Then one cold compile of the conflict-rich two-state
+    Theta_1 lineage must cost at most ``COMPILE_COUNT_CEILING`` times
+    one cold count, with the same answer (the sweep compiles only the
+    branching machine, which cannot show a slow compile of a
+    conflict-rich lineage).  One retry absorbs scheduler noise in each
+    check, exactly like the persistent-cache gate.
     """
-    from bench_compile import measure_compile_vs_direct
+    from bench_compile import measure_compile_vs_count, measure_compile_vs_direct
 
     result = measure_compile_vs_direct()
     if not result["bit_identical"]:
@@ -223,6 +236,30 @@ def check_compile(compile_floor):
             "(confirmed twice)".format(compile_floor))
     print("knowledge-compilation amortization check passed "
           "(floor {:.1f}x)".format(compile_floor))
+
+    result = measure_compile_vs_count()
+    if not result["bit_identical"]:
+        raise SystemExit(
+            "compiled two-state Theta_1 differs from its direct count — "
+            "the circuit evaluated to a wrong value")
+    if result["ratio"] > COMPILE_COUNT_CEILING:
+        result = measure_compile_vs_count()
+        if not result["bit_identical"]:
+            raise SystemExit(
+                "compiled two-state Theta_1 differs from its direct count")
+    ratio = result["ratio"]
+    status = "FAIL" if ratio > COMPILE_COUNT_CEILING else "ok"
+    print(
+        "{:32s} count {:.3f}s  compile {:.3f}s  ratio {:.2f}x  "
+        "(ceiling {:.1f}x)  [{}]".format(
+            "compile_vs_count_two_state", result["count_s"],
+            result["compile_s"], ratio, COMPILE_COUNT_CEILING, status))
+    if ratio > COMPILE_COUNT_CEILING:
+        raise SystemExit(
+            "cold compile above {:.1f}x a cold count on two-state Theta_1 "
+            "(confirmed twice)".format(COMPILE_COUNT_CEILING))
+    print("compile-vs-count check passed (ceiling {:.1f}x)".format(
+        COMPILE_COUNT_CEILING))
 
 
 def check_backends(backend_floor):

@@ -17,7 +17,7 @@ PODS 2015.  The library provides:
 * Markov Logic Networks and the Example 1.2 reduction (:mod:`repro.mln`),
   including circuit-based weight learning (:func:`repro.mln.mln_weight_learn`);
 * the knowledge-compilation subsystem (:mod:`repro.compile`): the
-  counting search traced once into an arithmetic circuit, serving any
+  counting search run once over circuit values, serving any
   number of weight vectors — and their exact gradients — by circuit
   evaluation;
 * the paper's complexity-theoretic constructions

@@ -14,7 +14,7 @@ compile      compile a WFOMC instance into an arithmetic circuit and
              report its node/edge/depth statistics
 stats        run a weighted count and pretty-print every engine/cache
              statistic the run touched (including circuit-compilation
-             counters and trace-template sizes)
+             counters)
 cache        inspect the persistent on-disk cache: ``stats`` / ``clear``
              / ``vacuum`` (size-bounded LRU eviction) / ``path``
 spectrum     which domain sizes up to a bound admit a model

@@ -4,20 +4,20 @@ Symmetric WFOMC separates structure from weights: the expensive object
 is the count structure, weights are values plugged into it (the
 observation behind the paper's Section 2 weight/probability
 correspondences).  This package exploits that separation end to end —
-the counting engine's search is traced **once** into a d-DNNF-style
-arithmetic circuit (:mod:`.circuit`), and arbitrarily many weight
-vectors are then served by linear-time circuit evaluation, with exact
-gradients from one backward pass for free.
+the counting engine's search runs **once** over circuit-node values,
+building a d-DNNF-style arithmetic circuit (:mod:`.circuit`), and
+arbitrarily many weight vectors are then served by linear-time circuit
+evaluation, with exact gradients from one backward pass for free.
 
 Entry points
 ------------
 
 * :func:`compile_cnf` / :func:`compile_formula` /
-  :func:`compile_lineage` — trace a propositional instance (or a ground
-  lineage) into a :class:`Circuit` over weight-pair leaves;
+  :func:`compile_lineage` — compile a propositional instance (or a
+  ground lineage) into a :class:`Circuit` over weight-pair leaves;
 * :func:`compile_wfomc` — compile a whole ``(formula, n)`` WFOMC
   instance, dispatching to the FO2 cell decomposition or the lineage
-  trace like the solver does; returns a :class:`CompiledWFOMC` whose
+  like the solver does; returns a :class:`CompiledWFOMC` whose
   ``evaluate``/``gradient`` take any weighted vocabulary;
 * the solver fast paths — ``SolverOptions(compile=True)`` on
   :func:`repro.wfomc.solver.wfomc_weight_sweep` /

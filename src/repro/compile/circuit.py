@@ -5,9 +5,9 @@ weight pairs of its leaves: evaluating it at a weight assignment
 ``key -> (w, wbar)`` reproduces an exact weighted model count, and
 because every node is a polynomial in the leaf weights, the same DAG
 also yields exact gradients by one reverse pass.  Circuits are produced
-by tracing the counting engine's search
-(:func:`repro.propositional.counter.trace_cnf_clauses` via
-:mod:`repro.compile.trace`) or by compiling the FO2 cell decomposition
+by running the counting engine's search over circuit-node values
+(:mod:`repro.compile.trace`: every product and sum the search computes
+becomes a node) or by compiling the FO2 cell decomposition
 (:mod:`repro.compile.wfomc`); the expensive search runs once, after
 which any number of weight vectors are served by circuit evaluation.
 
@@ -72,22 +72,16 @@ class CircuitBuilder:
     """Bottom-up hash-consing constructor for :class:`Circuit` DAGs.
 
     ``times``/``plus``/``pow`` perform light algebraic folding (constant
-    accumulation, neutral-element removal, singleton collapse) so traced
-    circuits stay compact; they never change the computed value.  The
-    ``memo`` dict is free scratch space for tracers (the engine keys it
-    on canonical component structures to share subcircuits).
+    accumulation, neutral-element removal, singleton collapse) so
+    compiled circuits stay compact; they never change the computed
+    value.
     """
 
-    __slots__ = ("nodes", "_index", "memo")
+    __slots__ = ("nodes", "_index")
 
     def __init__(self):
         self.nodes = []
         self._index = {}
-        self.memo = {}
-
-    def spawn(self):
-        """A fresh empty builder (used for canonical-space templates)."""
-        return CircuitBuilder()
 
     def _intern(self, row):
         idx = self._index.get(row)
@@ -169,17 +163,17 @@ class CircuitBuilder:
             return self.const(row[1] ** exponent)
         return self._intern((_POW, child, int(exponent)))
 
-    # -- template emission -------------------------------------------------
+    # -- re-emission -------------------------------------------------------
 
     def inline(self, rows, root, lit_fn=None, tot_fn=None):
         """Re-emit a node-row list into this builder, remapping leaves.
 
         ``rows`` is a compact node list (children refer to earlier local
-        indices, as produced by :meth:`extract` or
-        :meth:`Circuit.rows`); ``lit_fn(key, positive)`` / ``tot_fn(key)``
-        supply replacement nodes for the leaves (defaulting to plain
-        re-interning).  Operator folding re-applies, so inlining a
-        template with constants for some leaves simplifies on the fly.
+        indices, as in :attr:`Circuit.rows`); ``lit_fn(key, positive)`` /
+        ``tot_fn(key)`` supply replacement nodes for the leaves
+        (defaulting to plain re-interning).  Operator folding re-applies,
+        so inlining rows with constants for some leaves simplifies on
+        the fly.
         Returns the id of the re-emitted root.
 
         Child references are validated (ints pointing strictly at
@@ -225,28 +219,6 @@ class CircuitBuilder:
         if not isinstance(root, int) or not 0 <= root < len(rows):
             raise ValueError("invalid root reference {!r}".format(root))
         return mapped[root]
-
-    def emit_template(self, template, leaf_map):
-        """Instantiate a canonical-space ``(rows, root)`` template.
-
-        Leaf keys in the template are 1-based slot indices;
-        ``leaf_map[slot - 1]`` names the concrete key each slot becomes.
-        Hash-consing dedups against everything already in the builder,
-        so instantiating the same template twice with the same map is a
-        cascade of dictionary hits.
-        """
-        rows, root = template
-        return self.inline(
-            rows, root,
-            lit_fn=lambda slot, positive: self.lit(leaf_map[slot - 1], positive),
-            tot_fn=lambda slot: self.tot(leaf_map[slot - 1]),
-        )
-
-    def extract(self, root):
-        """``(rows, root)`` of the sub-DAG reachable from ``root``,
-        with node ids remapped to a dense local numbering (a template)."""
-        rows, new_root = _reachable(self.nodes, root)
-        return tuple(rows), new_root
 
     def build(self, root):
         """Freeze the sub-DAG reachable from ``root`` into a Circuit."""
@@ -545,8 +517,10 @@ class Circuit:
     def smooth(self):
         """A smoothed equivalent: +-children missing leaves of the node
         scope are multiplied by the ``w + wbar`` total of each missing
-        key (exactly d-DNNF smoothing).  Traced circuits are smooth by
-        construction, so this is a no-op-sized pass for them."""
+        key (exactly d-DNNF smoothing).  Circuits compiled from a CNF are
+        smooth by construction (every branch of a decision weighs every
+        variable of its component), so this is a no-op-sized pass for
+        them."""
         scopes = self.scopes()
         builder = CircuitBuilder()
         mapped = [0] * len(self.rows)
@@ -583,7 +557,7 @@ class Circuit:
         the leaf, ``("bake", (w, wbar))`` folds it into constants (lit
         becomes ``w`` / ``wbar``, tot becomes ``w + wbar``) — used to
         bake auxiliary Tseitin variables (fixed weight ``(1, 1)``) out
-        of a traced circuit.  Folding re-applies, so baked-neutral
+        of a compiled CNF circuit.  Folding re-applies, so baked-neutral
         leaves vanish entirely.
         """
         builder = CircuitBuilder()

@@ -1,11 +1,19 @@
 """Compiling CNFs, propositional formulas, and lineages into circuits.
 
-These are thin drivers over the counting engine's trace mode
-(:func:`repro.propositional.counter.trace_cnf_clauses`): the search runs
-once, weight-symbolically, and the result is a :class:`~repro.compile.
-circuit.Circuit` whose evaluation at any weight assignment is
-bit-identical to direct counting at those weights — including negative
-and zero weights, which the trace never prunes on.
+Compilation is counting in another value domain: :func:`compile_cnf`
+runs the counting engine's own search (:class:`~repro.propositional.
+counter.CountingEngine`) with :class:`CircuitValue` weights, whose
+``*`` and ``+`` build circuit nodes instead of multiplying numbers.
+Every product and sum the search would compute becomes a node, so the
+result is a :class:`~repro.compile.circuit.Circuit` whose evaluation
+at any weight assignment is bit-identical to direct counting at those
+weights — including negative and zero weights, because a circuit value
+is zero only when it is *structurally* zero (an unsatisfiable
+component), never because of a particular weight.  The search knobs of
+:class:`~repro.options.SolverOptions` (clause learning, branching,
+phase saving, restarts, the learned-clause bound) steer compilation
+exactly as they steer counting; compilation itself is serial and
+never touches the on-disk component store.
 
 Leaf handling mirrors the counting wrappers exactly:
 
@@ -33,12 +41,80 @@ from ..grounding.structures import ground_tuples
 from ..logic.syntax import predicates_of
 from ..logic.vocabulary import Predicate, Vocabulary
 from ..cache.adapters import CIRCUITS_NS
+from ..obs import span
 from ..options import SolverOptions
-from ..propositional.counter import cnf_for_formula, trace_cnf_clauses
+from ..propositional.counter import CountingEngine, cnf_for_formula
 from ..utils import vocabulary_signature
-from .circuit import Circuit, CircuitBuilder
+from .circuit import _TIMES, Circuit, CircuitBuilder
 
-__all__ = ["CIRCUITS_NS", "compile_cnf", "compile_formula", "compile_lineage"]
+__all__ = ["CIRCUITS_NS", "CircuitValue", "compile_cnf", "compile_formula",
+           "compile_lineage"]
+
+
+class CircuitValue:
+    """A circuit node standing in for a number in the counting search.
+
+    The search only multiplies, adds and compares with zero.  Here
+    ``*`` and ``+`` emit ``times``/``plus`` nodes into one shared
+    :class:`~repro.compile.circuit.CircuitBuilder`, and ``== 0`` is the
+    builder's structural :meth:`~repro.compile.circuit.CircuitBuilder.
+    is_zero`.  ``*`` splices the children of a product operand into one
+    flat ``times`` node, so the search's running products (``factor *=
+    w`` once per literal) end as one node per branch, not a chain of
+    binary products; the intermediate prefixes stay unreachable and
+    :meth:`~repro.compile.circuit.CircuitBuilder.build` prunes them.
+    Plain ints — the search's neutral ``0`` and ``1`` — mix in as
+    constants.  Values hash and compare by node id, so they can sit in
+    the engine's cache keys.
+    """
+
+    __slots__ = ("builder", "node")
+
+    def __init__(self, builder, node):
+        self.builder = builder
+        self.node = node
+
+    def __mul__(self, other):
+        builder = self.builder
+        if isinstance(other, CircuitValue):
+            other = other.node
+        elif other == 1:
+            return self
+        else:
+            other = builder.const(other)
+        nodes = builder.nodes
+        kids = []
+        for node in (self.node, other):
+            row = nodes[node]
+            if row[0] == _TIMES:
+                kids.extend(row[1])
+            else:
+                kids.append(node)
+        return CircuitValue(builder, builder.times(kids))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        builder = self.builder
+        if isinstance(other, CircuitValue):
+            other = other.node
+        elif other == 0:
+            return self
+        else:
+            other = builder.const(other)
+        return CircuitValue(builder, builder.plus([self.node, other]))
+
+    __radd__ = __add__
+
+    def __eq__(self, other):
+        if isinstance(other, CircuitValue):
+            return self.node == other.node
+        if other == 0:
+            return self.builder.is_zero(self.node)
+        return NotImplemented
+
+    def __hash__(self):
+        return self.node
 
 
 def _store_for(opts):
@@ -71,10 +147,17 @@ def compile_cnf(cnf, options=None, store_key=None):
     The circuit's leaves are the CNF's variable *labels*;
     ``Circuit.evaluate({label: (w, wbar), ...})`` is bit-identical to
     :func:`~repro.propositional.counter.wmc_cnf` with the same weights.
-    Of the :class:`~repro.options.SolverOptions` knobs, compilation
-    reads ``persist``/``cache_dir`` and ``budget``.  ``store_key``
-    overrides the persistence key (callers with a cheaper canonical
-    identity, like :func:`compile_lineage`, pass their own).
+    The circuit is what the counting search computes with
+    :class:`CircuitValue` weights: the search knobs of ``options``
+    (``learn``, ``branching``, ``max_learned``, ``phase_saving``,
+    ``restarts``) steer it, and ``budget`` bounds it.  The search runs
+    serially (``workers`` is ignored) over a value cache private to this
+    compile, sharing only the weight-independent canonical-key cache;
+    it never reads or writes the on-disk component store.  With
+    ``persist`` the finished circuit is stored in the ``circuits``
+    namespace.  ``store_key`` overrides the persistence key (callers
+    with a cheaper canonical identity, like :func:`compile_lineage`,
+    pass their own).
     """
     opts = SolverOptions.resolve(options)
     store = _store_for(opts)
@@ -91,8 +174,21 @@ def compile_cnf(cnf, options=None, store_key=None):
     if cnf.contradictory:
         root = builder.const(0)
     else:
+        weights = {}
+        totals = {}
+        for v in range(1, cnf.num_vars + 1):
+            weights[v] = (CircuitValue(builder, builder.lit(v, True)),
+                          CircuitValue(builder, builder.lit(v, False)))
+            totals[v] = CircuitValue(builder, builder.tot(v))
+        engine = CountingEngine(weights, totals, cache={},
+                                options=opts.replace(workers=None))
         clauses = tuple(cnf.clauses)
-        root = trace_cnf_clauses(clauses, builder, budget=opts.budget)
+        # ``to_cnf`` guarantees duplicate-free, non-empty clauses.
+        with span("compile_cnf", cat="engine", vars=cnf.num_vars,
+                  clauses=len(clauses)):
+            value = engine.count(clauses, trusted=True)
+        root = (value.node if isinstance(value, CircuitValue)
+                else builder.const(value))
         used = set()
         for c in clauses:
             for lit in c:

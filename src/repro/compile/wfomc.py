@@ -2,7 +2,7 @@
 
 :func:`compile_wfomc` dispatches like the solver — the FO2 cell
 decomposition when the sentence admits it, lineage grounding plus the
-engine's trace mode otherwise — and returns a :class:`CompiledWFOMC`
+counting search over circuit values otherwise — and returns a :class:`CompiledWFOMC`
 that evaluates (and differentiates) the symmetric WFOMC of the instance
 at any :class:`~repro.logic.vocabulary.WeightedVocabulary` over the same
 predicates.  This is the amortization the paper's symmetric setting

@@ -55,7 +55,13 @@ class SolverOptions:
         ``0``/``1`` means serial; results are bit-identical either way).
     branching / learn / max_learned / phase_saving / restarts:
         Conflict-driven-search knobs of the grounded counting engine;
-        they steer the search only, never the counted value.
+        they steer the search only, never the counted value.  Circuit
+        compilation runs the same search, so they steer it the same
+        way: ``learn`` turns 1-UIP learning on or off, ``branching``
+        picks EVSIDS or MOMS, ``max_learned`` bounds the learned-clause
+        database, ``phase_saving`` reorders branches, and ``restarts``
+        sets the restart unit, all without changing any value of the
+        compiled circuit.
         ``restarts`` enables Luby-sequence restarts in the
         clause-learning engine: a positive int is the Luby unit in
         conflicts (restart after ``unit * luby(i)`` conflicts since the

@@ -73,14 +73,7 @@ sharpSAT/Cachet-style conflict-driven counting search:
   A restart is the same move as a backjump to the root — abandoned
   partial sums are recomputed through the component cache, so no branch
   is skipped and the counted value is bit-identical with restarts on or
-  off;
-* a **trace mode** (:func:`trace_cnf_clauses`): a learning-free MOMS
-  search over the same root reduction and propagation core, recording
-  decompositions as arithmetic-circuit nodes for
-  the knowledge-compilation subsystem (:mod:`repro.compile`) instead of
-  multiplying weights.  Component conjunctions become x-nodes, decision
-  splits smoothed +-nodes, literals weight leaves; canonical components
-  compile once into templates shared across isomorphic occurrences.
+  off.
 
 Soundness of learning under component caching deserves a note.  A learned
 clause is entailed by the component a search was started on, so using it
@@ -92,6 +85,28 @@ from a learned clause restricts the current component alone.  Learned
 implications of variables outside the current component are blocked
 (cross-component implications are the classic unsoundness of naive
 learning in #SAT), and learned clauses never leak into child searches.
+
+The same search compiles.  The search only multiplies, adds and tests
+values for zero, so the knowledge-compilation subsystem
+(:mod:`repro.compile.trace`) runs it with circuit-node values as the
+weights: ``*`` and ``+`` build nodes, and ``== 0`` holds only for a
+*structurally* zero node.  The result is an arithmetic circuit whose
+value at every weight assignment is the count at those weights, with
+every search knob (learning, branching, phase saving, restarts) in
+play.  Three facts make that hold:
+
+* learned clauses are entailed by the CNF, so the literals they imply
+  are forced under every weight, and pruning with them removes no
+  model at any weight;
+* a compiled subcircuit is structurally zero exactly when its component
+  is unsatisfiable, so compiling never descends under a zero factor
+  either, and the condition that makes learning sound (every sibling
+  component in the context is satisfiable) still holds;
+* a conflicted branch has no models and adds no term.
+
+Zero weights are never pruned while compiling (a weight leaf is not
+structurally zero), which is what keeps the circuit exact at zero and
+negative weights.
 
 Weights may be negative (Skolemization needs ``(1, -1)``), so no
 optimization may assume counts are monotone or positive; in particular the
@@ -130,7 +145,6 @@ __all__ = [
     "engine_stats",
     "reset_engine",
     "shutdown_worker_pool",
-    "trace_cnf_clauses",
     "cnf_for_formula",
     "wmc_cnf",
     "wmc_formula",
@@ -302,9 +316,8 @@ _CNF_CACHE = LRUCache(maxsize=64)
 #: Serializes :func:`engine_stats` against :func:`reset_engine`: a
 #: snapshot assembled while a concurrent reset zeroes the counters one
 #: by one would report a torn view (some counters pre-reset, some
-#: post), and ``dict(_TRACE_COUNTERS)`` mid-``clear`` can raise.  The
-#: lock makes both operations atomic with respect to each other; the
-#: engine's hot path never touches it.
+#: post).  The lock makes both operations atomic with respect to each
+#: other; the engine's hot path never touches it.
 _STATS_LOCK = threading.Lock()
 
 #: Structured-log channel for engine degradation events (worker crashes,
@@ -324,8 +337,6 @@ def engine_stats():
         stats["cache_entries"] = len(_SHARED_CACHE)
         stats["key_entries"] = len(_SHARED_KEY_CACHE)
         stats["cnf_cache"] = _CNF_CACHE.stats()
-        stats["trace_templates"] = len(_TRACE_TEMPLATES)
-        stats.update(_TRACE_COUNTERS)
         stats.update(_SHARED_STATS.hit_rates())
     return stats
 
@@ -336,9 +347,6 @@ def reset_engine():
         _SHARED_CACHE.clear()
         _SHARED_KEY_CACHE.clear()
         _CNF_CACHE.clear()
-        _TRACE_TEMPLATES.clear()
-        for name in _TRACE_COUNTERS:
-            _TRACE_COUNTERS[name] = 0
         _SHARED_STATS.reset()
 
 
@@ -846,7 +854,9 @@ class CountingEngine:
     """Exact WMC over integer-variable clauses with component caching.
 
     ``weights`` maps each variable to its ``(w, wbar)`` pair and ``totals``
-    to ``w + wbar``; values may be ints or Fractions.  ``cache``/``stats``/
+    to ``w + wbar``; values may be ints or Fractions, or any values with
+    ``*``, ``+`` and ``== 0`` (the circuit compiler passes circuit
+    nodes, see :meth:`count`).  ``cache``/``stats``/
     ``key_cache`` default to module-level shared instances.  ``options``
     is a :class:`~repro.options.SolverOptions` (``None`` for the
     defaults); the engine reads its search knobs, ``workers`` and
@@ -934,15 +944,27 @@ class CountingEngine:
         (like :func:`wmc_cnf`) whose clauses are already duplicate-free
         tuples with at least one literal each.
         """
+        return Fraction(self.count(clauses, trusted))
+
+    def count(self, clauses, trusted=False):
+        """:meth:`run` in the weights' own value domain.
+
+        Returns the plain int ``0`` or ``1`` for a contradictory or
+        empty clause set, else the search's result — a product and sum
+        of the weight values, with no conversion to
+        :class:`~fractions.Fraction`.  The circuit compiler
+        (:mod:`repro.compile.trace`) counts with circuit-node values
+        through this entry.
+        """
         self.stats.calls += 1
         normalized = _normalize(clauses, trusted)
         if normalized is None:
-            return Fraction(0)
+            return 0
         if not normalized:
-            return Fraction(1)
+            return 1
         try:
             with _recursion_headroom(len(self.weights)):
-                return Fraction(self._reduce(normalized))
+                return self._reduce(normalized)
         except BudgetExceededError as exc:
             # Attach the partial statistics once, at the top level: the
             # inner loops stay free of bookkeeping, and callers see how
@@ -1612,140 +1634,6 @@ def _clause_vars(clauses):
         for lit in c:
             result.add(abs(lit))
     return result
-
-
-# -- circuit tracing ----------------------------------------------------------
-#
-# Trace mode replays the counting search symbolically: instead of
-# multiplying weights it records the search's decompositions as arithmetic-
-# circuit nodes in a caller-supplied builder (see repro.compile.circuit for
-# the IR).  Component conjunctions become x-nodes, decision splits become
-# smoothed +-nodes (every branch carries a literal or total leaf for each
-# component variable, so sibling branches always cover the same scope),
-# literals become weight leaves, and vanished variables become w+wbar
-# total leaves.  Because the circuit must stay *weight-symbolic*, trace
-# mode never prunes zero-weight branches and never consults the weighted
-# component cache; sharing comes from two weight-independent layers:
-#
-# * every component is compiled in its canonical variable space once and
-#   memoized as a *template* (keyed on the canonical rows, the same
-#   structures the engine's key cache memoizes), so isomorphic components
-#   -- which symmetric lineages produce in abundance -- are traced once
-#   and stamped out per occurrence;
-# * instantiated templates pass through the builder's hash-consing, so
-#   repeated occurrences of the *same* component collapse to one shared
-#   subcircuit reference and the DAG is no larger than the search.
-
-#: Weight-independent compiled component templates, shared across traces
-#: (cleared wholesale at the bound, like the canonical-key cache).
-_TRACE_TEMPLATES = {}
-MAX_TRACE_TEMPLATE_ENTRIES = 1 << 14
-
-_TRACE_COUNTERS = {"traced_components": 0, "trace_template_hits": 0,
-                   "trace_template_misses": 0}
-
-
-def _trace_search(component, comp_vars, builder, key_cache, stats,
-                  budget=None):
-    """Trace one connected component's counting search into the builder.
-
-    The learning-free search kept beside the counting loop: a recursive
-    MOMS search (the decision order of ``learn=False``) that emits nodes
-    instead of multiplying weights.  Both polarities are always explored
-    (a conflicted polarity simply contributes no branch), so the
-    resulting +-node is correct for every weight assignment, zeros and
-    negatives included.  It shares the propagation core and residual
-    split with :class:`CountingEngine` but neither learns nor consults
-    the weighted component cache, which makes compiled circuits an
-    independent check on the counting loop.
-    """
-    stats.decisions += 1
-    if budget is not None:
-        budget.tick()
-    clause_lits, watches, watch_pair, _units = _watch_lists(component)
-    var = _moms_var(component)
-    branches = []
-    for lit in (var, -var):
-        assign = {}
-        trail = []
-        if _propagate(clause_lits, watches, watch_pair, assign, {}, {},
-                      trail, [(lit, None)], 0, None, len(clause_lits),
-                      stats) != -1:
-            continue
-        factors = [builder.lit(v, assign[v]) for v in trail]
-        components, residual_vars = _residual_components(clause_lits, assign)
-        for v in comp_vars:
-            if v not in assign and v not in residual_vars:
-                factors.append(builder.tot(v))
-        for child in components:
-            factors.append(_trace_component(child, builder, key_cache, stats,
-                                            budget))
-        branches.append(builder.times(factors))
-    return builder.plus(branches)
-
-
-def _trace_component(component, builder, key_cache, stats, budget=None):
-    """Emit one component's subcircuit, sharing canonical templates."""
-    rows, var_order = _canonical_entry(component, key_cache, stats)
-    memo = builder.memo
-    memo_key = (rows, var_order)
-    node = memo.get(memo_key)
-    if node is not None:
-        return node
-    template = _TRACE_TEMPLATES.get(rows)
-    if template is None:
-        _TRACE_COUNTERS["trace_template_misses"] += 1
-        sub = builder.spawn()
-        root = _trace_search(rows, range(1, len(var_order) + 1), sub,
-                             key_cache, stats, budget)
-        template = sub.extract(root)
-        if len(_TRACE_TEMPLATES) >= MAX_TRACE_TEMPLATE_ENTRIES:
-            _TRACE_TEMPLATES.clear()
-        _TRACE_TEMPLATES[rows] = template
-    else:
-        _TRACE_COUNTERS["trace_template_hits"] += 1
-    _TRACE_COUNTERS["traced_components"] += 1
-    node = builder.emit_template(template, var_order)
-    memo[memo_key] = node
-    return node
-
-
-def trace_cnf_clauses(clauses, builder, key_cache=None, stats=None,
-                      trusted=False, budget=None):
-    """Trace the counting search over ``clauses`` into circuit nodes.
-
-    The symbolic twin of :meth:`CountingEngine.run`: returns the builder
-    id of a node whose value at any weight assignment ``var -> (w,
-    wbar)`` equals the WMC of the clauses over exactly the variables
-    they mention.  ``builder`` is a
-    :class:`repro.compile.circuit.CircuitBuilder` (any object with the
-    same ``lit``/``tot``/``const``/``times``/``plus``/``spawn``/
-    ``extract``/``emit_template``/``memo`` protocol).  ``trusted`` skips
-    per-clause literal deduplication exactly like :meth:`~CountingEngine.run`.
-    ``budget`` (a :class:`~repro.resilience.limits.Budget`) bounds the
-    trace; the template/builder memos only ever store completed
-    subcircuits, so an aborted trace retried later warm-starts.
-    """
-    key_cache = _SHARED_KEY_CACHE if key_cache is None else key_cache
-    stats = _SHARED_STATS if stats is None else stats
-    normalized = _normalize(clauses, trusted)
-    if normalized is None:
-        return builder.const(0)
-    if not normalized:
-        return builder.const(1)
-    reduced = _reduce_root(normalized, key_cache, stats)
-    if reduced is None:
-        return builder.const(0)
-    assign, trail, vanished, components = reduced
-    n_vars = len(_clause_vars(normalized))
-    with _recursion_headroom(n_vars), span(
-            "trace_cnf", cat="engine", vars=n_vars, clauses=len(normalized)):
-        factors = [builder.lit(v, assign[v]) for v in trail]
-        factors.extend(builder.tot(v) for v in vanished)
-        for component in components:
-            factors.append(_trace_component(component, builder, key_cache,
-                                            stats, budget))
-        return builder.times(factors)
 
 
 # -- worker pool -------------------------------------------------------------

@@ -8,8 +8,8 @@ cap, and a cooperative cancellation token — and is carried on
 
 The engine charges the budget at its natural unit boundaries
 (:meth:`Budget.spend_decision`, :meth:`Budget.spend_conflict`); layers
-without such units (FO2 cell recursion, trace compilation, future
-polling) call :meth:`Budget.tick`.  All three are cheap: counter
+without such units (FO2 cell recursion, FO2 circuit compilation,
+future polling) call :meth:`Budget.tick`.  All three are cheap: counter
 bumps plus an explicit-limit comparison, with the clock consulted only
 every :data:`CHECK_MASK` + 1 ticks (and on the very first, so a zero
 timeout trips immediately).  Tripping raises

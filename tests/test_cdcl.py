@@ -2,10 +2,11 @@
 
 Three layers of validation: Hypothesis property tests assert exact
 agreement between the CDCL engine, the same search with learning off,
-compiled circuits (whose trace is a learning-free search independent of
-the CDCL loop), and brute-force enumeration on random weighted CNFs;
-determinism tests pin down bit-identical results for ``learn=True,
-workers>1``; and white-box
+circuits compiled by that search under every knob, and brute-force
+enumeration on random weighted CNFs; the larger instances are checked
+against a plain Shannon-expansion counter that shares nothing with the
+engine; determinism tests pin down bit-identical results for
+``learn=True, workers>1``; and white-box
 unit tests check 1-UIP derivation, asserting levels, and LBD on
 hand-built implication graphs, plus learned-database reduction and the
 engine-knob plumbing through the solver layer.
@@ -24,6 +25,7 @@ from repro.propositional.counter import (
     CountingEngine,
     EngineStats,
     _analyze_conflict,
+    engine_stats,
     wmc_cnf,
 )
 from repro.weights import WeightPair
@@ -54,6 +56,31 @@ def _wmc_reference(clauses, pairs):
     return total
 
 
+def _shannon_count(clauses, pair_of, variables):
+    """WMC over ``variables`` by plain Shannon expansion.
+
+    Branches on the lowest variable, drops satisfied clauses, and prunes
+    a branch that empties a clause.  No propagation, learning or
+    caching: an oracle independent of the engine it checks.
+    """
+    if not variables:
+        return 1
+    var, rest_vars = variables[0], variables[1:]
+    total = 0
+    for lit, weight in zip((var, -var), pair_of(var)):
+        rest = []
+        for c in clauses:
+            if lit in c:
+                continue
+            c = tuple(l for l in c if l != -lit)
+            if not c:
+                break
+            rest.append(c)
+        else:
+            total += weight * _shannon_count(rest, pair_of, rest_vars)
+    return total
+
+
 def _engine(weights_pairs, **knobs):
     weights = {v: (p.w, p.wbar) for v, p in weights_pairs.items()}
     totals = {v: p.w + p.wbar for v, p in weights_pairs.items()}
@@ -69,6 +96,13 @@ def _hard_random_clauses(num_vars=24, ratio=4.2, seed=5):
         vs = rng.sample(range(1, num_vars + 1), 3)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return clauses
+
+
+#: Every search knob set: learning off (with and without restarts), the
+#: default, MOMS branching, and a tiny learned-clause database.
+KNOB_SETS = ({"learn": False}, {"learn": False, "restarts": 1},
+             {"learn": True}, {"learn": True, "branching": "moms"},
+             {"learn": True, "max_learned": 16})
 
 
 class TestCDCLAgainstEnumeration:
@@ -109,10 +143,7 @@ class TestCDCLAgainstEnumeration:
         pairs = {v: WeightPair(1, 1) for v in range(1, 25)}
         results = []
         conflict_stats = None
-        for knobs in ({"learn": False}, {"learn": False, "restarts": 1},
-                      {"learn": True},
-                      {"learn": True, "branching": "moms"},
-                      {"learn": True, "max_learned": 16}):
+        for knobs in KNOB_SETS:
             engine = _engine(pairs, **knobs)
             results.append(engine.run(clauses))
             if knobs == {"learn": True}:
@@ -122,14 +153,58 @@ class TestCDCLAgainstEnumeration:
                 stats = engine.stats
                 assert (stats.conflicts, stats.learned_clauses,
                         stats.backjumps, stats.restarts) == (0, 0, 0, 0)
+        reference = _shannon_count(clauses, pairs.__getitem__, range(1, 25))
         compiled = compile_cnf(_cnf_from_clauses(clauses, 24)).evaluate(
             lambda v: (1, 1))
-        assert set(results) == {compiled}
+        assert set(results) == {reference} == {compiled}
         # The default engine actually learned on this instance.
         assert conflict_stats.conflicts > 0
         assert conflict_stats.learned_clauses > 0
         assert conflict_stats.backjumps > 0
         assert conflict_stats.backjump_levels >= conflict_stats.backjumps
+
+
+class TestCompileUnderEveryKnob:
+    """Compilation runs the counting search, so every knob steers it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cnf_clause_lists(num_vars=8, max_clauses=20), fractions(),
+           fractions())
+    def test_circuits_match_enumeration_under_every_knob(self, clauses, w1,
+                                                         w2):
+        cnf = _cnf_from_clauses(clauses, 8)
+        weight_sets = (
+            # zero weights on both polarities of different variables
+            [WeightPair(0, w1) if v % 3 == 0 else
+             WeightPair(w2, 0) if v % 3 == 1 else WeightPair(1, 1)
+             for v in range(1, 9)],
+            # negative weights, Skolem style and fractional
+            [WeightPair(1, -1) if v % 2 else WeightPair(Fraction(-1, 2), w1)
+             for v in range(1, 9)],
+            # fractions
+            [WeightPair(w1, Fraction(v, 3)) if v % 2 else
+             WeightPair(Fraction(1, v), w2) for v in range(1, 9)],
+        )
+        references = [_wmc_reference(clauses, pairs) for pairs in weight_sets]
+        for knobs in KNOB_SETS:
+            circuit = compile_cnf(cnf, options=SolverOptions(**knobs))
+            assert circuit.is_smooth()
+            for pairs, reference in zip(weight_sets, references):
+                assert circuit.evaluate(lambda v: pairs[v - 1]) == reference
+
+    def test_hard_instance_compiles_with_learning(self):
+        clauses = _hard_random_clauses()
+        rng = random.Random(23)
+        pairs = {v: WeightPair(Fraction(rng.randint(-4, 5), rng.randint(1, 4)),
+                               Fraction(rng.randint(-4, 5), rng.randint(1, 4)))
+                 for v in range(1, 25)}
+        learned = engine_stats()["learned_clauses"]
+        circuit = compile_cnf(_cnf_from_clauses(clauses, 24),
+                              options=SolverOptions(learn=True))
+        # The compiling search learned on this conflict-rich instance.
+        assert engine_stats()["learned_clauses"] > learned
+        no_learn = _engine(pairs, learn=False).run(clauses)
+        assert circuit.evaluate(pairs.__getitem__) == no_learn
 
 
 class TestParallelLearningDeterminism:
@@ -148,6 +223,16 @@ class TestParallelLearningDeterminism:
         pairs = {v: WeightPair(Fraction(v, 5), Fraction(2, v)) for v in range(1, 33)}
         return cnf, pairs
 
+    def _multi_component_reference(self, cnf, pairs):
+        # The four components are variable-disjoint (variables
+        # 8k+1..8k+8), so the count is their product.
+        reference = 1
+        for k in range(4):
+            block = [c for c in cnf.clauses if (abs(c[0]) - 1) // 8 == k]
+            reference *= _shannon_count(block, pairs.__getitem__,
+                                        range(8 * k + 1, 8 * k + 9))
+        return reference
+
     def test_learning_with_workers_is_bit_identical(self):
         cnf, pairs = self._multi_component_cnf()
         serial = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
@@ -155,6 +240,7 @@ class TestParallelLearningDeterminism:
         no_learn = wmc_cnf(cnf, pairs.__getitem__, engine_cache={},
                            stats=EngineStats(), options=SolverOptions(learn=False))
         assert serial == no_learn
+        assert serial == self._multi_component_reference(cnf, pairs)
         assert serial == compile_cnf(cnf).evaluate(pairs.__getitem__)
         for _ in range(3):
             stats = EngineStats()
@@ -269,6 +355,8 @@ class TestLearnedDatabase:
         clauses = _hard_random_clauses(num_vars=28, ratio=4.3, seed=11)
         pairs = {v: WeightPair(1, 1) for v in range(1, 29)}
         reference = _engine(pairs, learn=False).run(clauses)
+        assert reference == _shannon_count(clauses, pairs.__getitem__,
+                                           range(1, 29))
         cnf = _cnf_from_clauses(clauses, 28)
         assert reference == compile_cnf(cnf).evaluate(lambda v: (1, 1))
         engine = _engine(pairs, learn=True, max_learned=4)

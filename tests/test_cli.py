@@ -257,4 +257,3 @@ class TestStatsIncludesCompile:
     def test_stats_prints_compile_section(self, capsys):
         out = run(capsys, "stats", "exists x. P(x)", "2")
         assert "compile" in out
-        assert "trace_templates" in out

@@ -225,6 +225,22 @@ class TestCompileCNF:
             assert (compiled.numerator, compiled.denominator) == (
                 direct.numerator, direct.denominator)
 
+    def test_compile_is_serial_with_a_private_value_cache(self):
+        # Two top-level components: a counting run with workers=2 would
+        # farm them to the pool.  Compiling ignores workers and keeps
+        # its circuit values out of the shared component cache.
+        clauses = [(1, 2), (-1, -2, 3), (4, 5), (-4, -5, 6)]
+        cnf = _cnf(clauses, 6)
+        before = engine_stats()
+        circuit = compile_cnf(cnf, options=SolverOptions(workers=2))
+        after = engine_stats()
+        assert after["parallel_tasks"] == before["parallel_tasks"]
+        assert after["cache_entries"] == before["cache_entries"]
+        assert after["decisions"] > before["decisions"]
+        pairs = [(Fraction(v, 3), 2 - v) for v in range(1, 7)]
+        assert circuit.evaluate(_pairs_fn(pairs)) == _enumeration(clauses,
+                                                                  pairs)
+
     def test_contradictory_cnf_compiles_to_zero(self):
         cnf = _cnf([(1,), ()], 2)
         assert compile_cnf(cnf).evaluate({1: (1, 1), 2: (1, 1)}) == 0
@@ -281,44 +297,40 @@ class TestCompileLineage:
                 lambda label: tuple(wv.weight(label[0])))
             assert compiled == direct
 
-    def test_template_cache_shares_isomorphic_components(self):
-        reset_engine()
-        sentence = parse("forall x, y. (R(x) | S(x, y) | T(y))")
-        compile_lineage(sentence, 3)
-        stats = engine_stats()
-        # Symmetric lineages re-encounter renamed copies of the same
-        # component: the canonical templates must be reused.
-        assert stats["trace_template_hits"] > 0
-
-    def test_aborted_trace_keeps_templates_and_retry_warm_starts(self):
+    def test_aborted_compile_retry_warm_starts_bit_identical(self):
         sentence = encode_theta1(_branching_machine(), epochs=1).sentence
         clear_compile_cache()
         reset_engine()
         cold_budget = Budget()
         cold = compile_wfomc(sentence, 3,
                              options=SolverOptions(budget=cold_budget))
-        cold_misses = engine_stats()["trace_template_misses"]
+        cold_stats = engine_stats()
+        # Compiling the lineage charges the budget only through the
+        # engine's spend_decision/spend_conflict.  That is under the
+        # 64-charge period at which the budget reads its clock, so the
+        # abort comes from a decision cap: spend_decision trips on the
+        # first decision past half of the cold run's.
+        assert cold_budget.ticks == (cold_budget.decisions
+                                     + cold_budget.conflicts) > 0
         clear_compile_cache()
         reset_engine()
 
-        # The budget reads its clock once on entry to compile_wfomc, then
-        # on its first tick and every 64th after; a clock that advances
-        # one second per read trips the budget at the ``timeout``-th
-        # read, partway through.
-        reads = itertools.count()
-        budget = Budget(timeout=1 + cold_budget.ticks // 2 // 64,
-                        clock=lambda: next(reads))
+        half = cold_budget.decisions // 2
+        budget = Budget(max_decisions=half)
         with pytest.raises(BudgetExceededError):
             compile_wfomc(sentence, 3, options=SolverOptions(budget=budget))
+        assert budget.decisions == half + 1
         aborted = engine_stats()
-        assert aborted["trace_templates"] > 0, "abort came before a template"
 
+        # The retry runs the same search; the canonical keys the aborted
+        # run memoized serve it from the shared key cache.
         retry = compile_wfomc(sentence, 3)
         stats = engine_stats()
-        assert stats["trace_template_hits"] > aborted["trace_template_hits"]
-        retry_misses = (stats["trace_template_misses"]
-                        - aborted["trace_template_misses"])
-        assert retry_misses < cold_misses
+        retry_hits = stats["key_hits"] - aborted["key_hits"]
+        retry_misses = stats["key_misses"] - aborted["key_misses"]
+        assert retry_hits + retry_misses == (cold_stats["key_hits"]
+                                             + cold_stats["key_misses"])
+        assert retry_misses < cold_stats["key_misses"]
         vocabulary = WeightedVocabulary.counting(sentence).vocabulary
         for pair in ((1, 1), (0, 3), (Fraction(-1, 2), Fraction(5, 3))):
             weighted = WeightedVocabulary.uniform(vocabulary, WeightPair(*pair))
